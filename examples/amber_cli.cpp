@@ -1,5 +1,6 @@
 // amber_cli: a minimal command-line front end for the engine, exercising
-// the offline artifact path end to end.
+// the offline artifact path end to end. Artifacts are AMF files
+// (AmberEngine::SaveFile / OpenFile); a corrupt one fails with a Status.
 //
 //   amber_cli build  <data.nt> <artifact.amber>   # offline stage + save
 //   amber_cli stats  <artifact.amber>             # dataset/index statistics
@@ -26,18 +27,10 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Result<AmberEngine> LoadArtifact(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError(std::string("cannot open ") + path);
-  return AmberEngine::Load(in);
-}
-
 int CmdBuild(const char* data_path, const char* artifact_path) {
   auto engine = AmberEngine::BuildFromFile(data_path);
   if (!engine.ok()) return Fail(engine.status());
-  std::ofstream out(artifact_path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(Status::IOError("cannot write artifact"));
-  if (Status s = engine->Save(out); !s.ok()) return Fail(s);
+  if (Status s = engine->SaveFile(artifact_path); !s.ok()) return Fail(s);
   std::printf("built %s: %zu vertices, %llu edges; offline stage "
               "%.2fs db + %.2fs index\n",
               artifact_path, engine->graph().NumVertices(),
@@ -48,7 +41,7 @@ int CmdBuild(const char* data_path, const char* artifact_path) {
 }
 
 int CmdStats(const char* artifact_path) {
-  auto engine = LoadArtifact(artifact_path);
+  auto engine = AmberEngine::OpenFile(artifact_path);
   if (!engine.ok()) return Fail(engine.status());
   const Multigraph& g = engine->graph();
   std::printf("vertices:    %zu\n", g.NumVertices());
@@ -65,7 +58,7 @@ int CmdStats(const char* artifact_path) {
 
 int CmdQuery(const char* artifact_path, const char* query_path,
              uint64_t limit, bool count_only) {
-  auto engine = LoadArtifact(artifact_path);
+  auto engine = AmberEngine::OpenFile(artifact_path);
   if (!engine.ok()) return Fail(engine.status());
   std::ifstream in(query_path);
   if (!in) return Fail(Status::IOError("cannot open query file"));

@@ -6,7 +6,6 @@
 #ifndef AMBER_CORE_AMBER_ENGINE_H_
 #define AMBER_CORE_AMBER_ENGINE_H_
 
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,11 +91,6 @@ class AmberEngine : public QueryEngine {
   const RdfDictionaries& dictionaries() const { return dicts_; }
   const BuildTimings& timings() const { return timings_; }
 
-  /// Serializes the offline artifacts (dictionaries, multigraph, indexes).
-  Status Save(std::ostream& os) const;
-  /// Restores an engine persisted with Save().
-  static Result<AmberEngine> Load(std::istream& is);
-
   /// Writes the offline artifacts as one AMF file (the mmap-able format;
   /// see docs/ARCHITECTURE.md, "Artifact format"). Byte-identical output
   /// for identical engines, regardless of BuildOptions::num_threads.
@@ -109,8 +103,8 @@ class AmberEngine : public QueryEngine {
   static Result<AmberEngine> OpenFile(const std::string& path);
 
   /// The raw bytes of the mapped artifact backing this engine, or an empty
-  /// span when the engine owns its data (built or stream-loaded). Lets
-  /// tests prove the zero-copy property.
+  /// span when the engine owns its data (built in process). Lets tests
+  /// prove the zero-copy property.
   std::span<const std::byte> MappedRegion() const {
     return mapping_ != nullptr ? mapping_->data()
                                : std::span<const std::byte>{};

@@ -18,7 +18,6 @@
 #define AMBER_GRAPH_MULTIGRAPH_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -141,9 +140,6 @@ class Multigraph {
 
   /// Approximate heap footprint in bytes.
   uint64_t ByteSize() const;
-
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   /// AMF sections: one meta pod plus the seven CSR arrays, all borrowed
   /// zero-copy from the mapping on LoadAmf.

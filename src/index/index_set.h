@@ -6,7 +6,6 @@
 #define AMBER_INDEX_INDEX_SET_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 
 #include "graph/multigraph.h"
@@ -46,20 +45,6 @@ struct IndexSet {
   uint64_t ByteSize() const {
     return attribute.ByteSize() + signature.ByteSize() +
            neighborhood.ByteSize() + value.ByteSize();
-  }
-
-  void Save(std::ostream& os) const {
-    attribute.Save(os);
-    signature.Save(os);
-    neighborhood.Save(os);
-    value.Save(os);
-  }
-
-  Status Load(std::istream& is) {
-    AMBER_RETURN_IF_ERROR(attribute.Load(is));
-    AMBER_RETURN_IF_ERROR(signature.Load(is));
-    AMBER_RETURN_IF_ERROR(neighborhood.Load(is));
-    return value.Load(is);
   }
 
   void SaveAmf(amf::Writer* w) const {

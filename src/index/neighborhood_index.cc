@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/serde.h"
 #include "util/thread_pool.h"
 
 namespace amber {
 
 namespace {
-constexpr uint32_t kNbrIndexMagic = 0x414D424E;  // "AMBN"
-constexpr uint32_t kNbrIndexVersion = 1;
-
 // AMF section ids (namespace 0x40xx).
 constexpr uint32_t kAmfNbrDirBase = 0x4010;  // + 0x10 per direction
 
@@ -270,47 +266,6 @@ uint64_t NeighborhoodIndex::ByteSize() const {
     total += dir.pool.ByteSize();
   }
   return total;
-}
-
-void NeighborhoodIndex::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kNbrIndexMagic, kNbrIndexVersion);
-  for (const DirIndex& dir : dirs_) {
-    serde::WriteSpan(os, dir.node_offsets.span());
-    serde::WriteSpan(os, dir.pool_offsets.span());
-    serde::WritePod<uint64_t>(os, dir.nodes.size());
-    for (const Node& n : dir.nodes) serde::WritePod(os, n);
-    serde::WriteSpan(os, dir.pool.span());
-  }
-}
-
-Status NeighborhoodIndex::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(
-      serde::CheckHeader(is, kNbrIndexMagic, kNbrIndexVersion));
-  for (DirIndex& dir : dirs_) {
-    std::vector<uint64_t> node_offsets, pool_offsets;
-    AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &node_offsets));
-    AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &pool_offsets));
-    uint64_t n = 0;
-    AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &n));
-    if (n > serde::kMaxPayloadBytes / sizeof(Node)) {
-      return Status::Corruption("implausible trie node count");
-    }
-    // push_back growth: forged counts on truncated streams fail at the
-    // first missing node instead of over-allocating.
-    std::vector<Node> nodes;
-    for (uint64_t i = 0; i < n; ++i) {
-      Node node;
-      AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &node));
-      nodes.push_back(node);
-    }
-    std::vector<VertexId> pool;
-    AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &pool));
-    dir.node_offsets = std::move(node_offsets);
-    dir.pool_offsets = std::move(pool_offsets);
-    dir.nodes = std::move(nodes);
-    dir.pool = std::move(pool);
-  }
-  return Status::OK();
 }
 
 void NeighborhoodIndex::SaveAmf(amf::Writer* w) const {

@@ -24,7 +24,6 @@
 #define AMBER_INDEX_NEIGHBORHOOD_INDEX_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -115,9 +114,6 @@ class NeighborhoodIndex {
   }
 
   uint64_t ByteSize() const;
-
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   void SaveAmf(amf::Writer* w) const;
   Status LoadAmf(const amf::Reader& r);

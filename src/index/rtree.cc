@@ -4,14 +4,9 @@
 #include <cassert>
 #include <limits>
 
-#include "util/serde.h"
-
 namespace amber {
 
 namespace {
-constexpr uint32_t kRTreeMagic = 0x414D4252;  // "AMBR"
-constexpr uint32_t kRTreeVersion = 1;
-
 // AMF section ids (namespace 0x30xx).
 constexpr uint32_t kAmfRTreeMeta = 0x3000;
 constexpr uint32_t kAmfRTreePoints = 0x3001;
@@ -156,59 +151,6 @@ void SynopsisRTree::QueryDominating(const Synopsis& q,
     }
   }
   std::sort(out->begin() + out_start, out->end());
-}
-
-void SynopsisRTree::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kRTreeMagic, kRTreeVersion);
-  serde::WritePod<uint64_t>(os, points_.size());
-  for (const Synopsis& p : points_) {
-    for (int32_t v : p.f) serde::WritePod(os, v);
-  }
-  serde::WritePod<uint64_t>(os, nodes_.size());
-  for (const Node& n : nodes_) {
-    serde::WritePod(os, n);
-  }
-  serde::WriteSpan(os, entries_.span());
-  serde::WriteSpan(os, child_pool_.span());
-  serde::WritePod(os, root_);
-}
-
-Status SynopsisRTree::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(serde::CheckHeader(is, kRTreeMagic, kRTreeVersion));
-  uint64_t n = 0;
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &n));
-  if (n > serde::kMaxPayloadBytes / sizeof(Synopsis)) {
-    return Status::Corruption("implausible point count");
-  }
-  // push_back growth: forged counts on truncated streams fail at the first
-  // missing element instead of over-allocating the claimed size.
-  std::vector<Synopsis> points;
-  for (uint64_t i = 0; i < n; ++i) {
-    Synopsis p;
-    for (int32_t& v : p.f) {
-      AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &v));
-    }
-    points.push_back(p);
-  }
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &n));
-  if (n > serde::kMaxPayloadBytes / sizeof(Node)) {
-    return Status::Corruption("implausible node count");
-  }
-  std::vector<Node> nodes;
-  for (uint64_t i = 0; i < n; ++i) {
-    Node node;
-    AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &node));
-    nodes.push_back(node);
-  }
-  std::vector<uint32_t> entries;
-  std::vector<uint32_t> child_pool;
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &entries));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &child_pool));
-  points_ = std::move(points);
-  nodes_ = std::move(nodes);
-  entries_ = std::move(entries);
-  child_pool_ = std::move(child_pool);
-  return serde::ReadPod(is, &root_);
 }
 
 void SynopsisRTree::SaveAmf(amf::Writer* w) const {

@@ -16,7 +16,6 @@
 #define AMBER_INDEX_RTREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -61,9 +60,6 @@ class SynopsisRTree {
     return nodes_.ByteSize() + entries_.ByteSize() + child_pool_.ByteSize() +
            points_.ByteSize();
   }
-
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   void SaveAmf(amf::Writer* w) const;
   Status LoadAmf(const amf::Reader& r);

@@ -8,7 +8,6 @@
 #define AMBER_INDEX_SIGNATURE_INDEX_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "graph/multigraph.h"
@@ -43,9 +42,6 @@ class SignatureIndex {
   size_t NumVertices() const { return tree_.NumPoints(); }
 
   uint64_t ByteSize() const { return tree_.ByteSize(); }
-
-  void Save(std::ostream& os) const { tree_.Save(os); }
-  Status Load(std::istream& is) { return tree_.Load(is); }
 
   void SaveAmf(amf::Writer* w) const { tree_.SaveAmf(w); }
   Status LoadAmf(const amf::Reader& r) { return tree_.LoadAmf(r); }

@@ -27,7 +27,6 @@
 #define AMBER_INDEX_VALUE_INDEX_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -105,9 +104,6 @@ class ValueIndex {
 
   uint64_t ByteSize() const;
 
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
-
   void SaveAmf(amf::Writer* w) const;
   /// Borrows every array from the mapping and validates the full structure
   /// (offset tables, sort orders, id ranges against `num_vertices`) so a
@@ -141,8 +137,9 @@ class ValueIndex {
     return LiteralValueView(false, 0.0, AttrText(a));
   }
 
-  /// Structural validation shared by both load paths.
-  Status Validate(uint64_t num_vertices, bool check_vertex_range) const;
+  /// Structural validation of a loaded index; vertex ids must be below
+  /// `num_vertices`.
+  Status Validate(uint64_t num_vertices) const;
 
   /// Shared by RangeScan and EstimateRange: resolves a conjunction into
   /// entry-index ranges of `pred`'s two columns ([*num_begin, *num_end)

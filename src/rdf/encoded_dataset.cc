@@ -36,20 +36,6 @@ std::string RdfDictionaries::AttributeDescription(AttributeId a) const {
   return out;
 }
 
-void RdfDictionaries::Save(std::ostream& os) const {
-  vertices_.Save(os);
-  edge_types_.Save(os);
-  attributes_.Save(os);
-  attr_predicates_.Save(os);
-}
-
-Status RdfDictionaries::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(vertices_.Load(is));
-  AMBER_RETURN_IF_ERROR(edge_types_.Load(is));
-  AMBER_RETURN_IF_ERROR(attributes_.Load(is));
-  return attr_predicates_.Load(is);
-}
-
 void RdfDictionaries::SaveAmf(amf::Writer* w) const {
   vertices_.SaveAmf(w, kAmfVertexDict);
   edge_types_.SaveAmf(w, kAmfEdgeTypeDict);

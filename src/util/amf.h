@@ -46,6 +46,10 @@ inline constexpr uint32_t kMagic = 0x31464D41;  // "AMF1"
 inline constexpr uint32_t kVersion = 1;
 inline constexpr uint64_t kSectionAlign = 64;
 
+/// Hard ceiling on any count a meta section may claim (1 TiB). Larger
+/// values are rejected as corruption before anything is sized by them.
+inline constexpr uint64_t kMaxPayloadBytes = 1ULL << 40;
+
 struct FileHeader {
   uint32_t magic;
   uint32_t version;

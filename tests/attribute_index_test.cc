@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "index/attribute_index.h"
 #include "test_util.h"
 
@@ -59,11 +57,12 @@ TEST(AttributeIndexTest, VertexHasAll) {
 }
 
 TEST(AttributeIndexTest, SaveLoadRoundTrip) {
-  AttributeIndex index = AttributeIndex::Build(AttributedGraph());
-  std::stringstream ss;
-  index.Save(ss);
+  Multigraph g = AttributedGraph();
+  AttributeIndex index = AttributeIndex::Build(g);
+  auto sections = testutil::WriteAndMapSections(
+      "attribute_index", [&](amf::Writer* w) { index.SaveAmf(w); });
   AttributeIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader, g.NumVertices()).ok());
   EXPECT_TRUE(loaded == index);
 }
 

@@ -1,12 +1,11 @@
 // Unit tests for the CSR multigraph: construction, neighbour groups,
-// multi-edge lookup, deduplication, attributes, serialization.
+// multi-edge lookup, deduplication, attributes, AMF round trip.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "graph/multigraph.h"
 #include "rdf/encoded_dataset.h"
+#include "test_util.h"
 
 namespace amber {
 namespace {
@@ -127,39 +126,29 @@ TEST(MultigraphTest, FromDatasetUsesDictionarySizes) {
 
 TEST(MultigraphTest, SaveLoadRoundTrip) {
   Multigraph g = SmallGraph();
-  std::stringstream ss;
-  g.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "multigraph", [&](amf::Writer* w) { g.SaveAmf(w); });
   Multigraph loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader).ok());
   EXPECT_TRUE(loaded == g);
   EXPECT_EQ(loaded.NumEdges(), g.NumEdges());
   EXPECT_TRUE(loaded.HasEdge(1, 1, 1));
 }
 
 TEST(MultigraphTest, LoadRejectsCorruptHeader) {
-  std::stringstream ss;
-  ss << "garbage bytes here and then some";
+  // The meta section (0x1000) holds the counts every CSR array is checked
+  // against: a record of the wrong size, or a vertex count too large to
+  // size anything by, must fail before any array is read.
   Multigraph g;
-  EXPECT_TRUE(g.Load(ss).IsCorruption());
-}
-
-TEST(MultigraphTest, LoadRejectsForgedGroupCount) {
-  // A valid prefix followed by a forged group count must fail cleanly
-  // without a giant upfront allocation (the count field bypasses
-  // serde::ReadVector, so Load has its own cap + incremental growth).
-  Multigraph g = SmallGraph();
-  std::stringstream good;
-  g.Save(good);
-  std::string bytes = good.str();
-  // Layout: header (8) + four u64 counts (32) + dir0 offsets vector
-  // (8 + (V+1)*8) + u64 group count.
-  const size_t count_pos = 8 + 32 + 8 + (g.NumVertices() + 1) * 8;
-  ASSERT_LT(count_pos + 8, bytes.size());
-  const uint64_t forged = 1ULL << 50;
-  std::memcpy(bytes.data() + count_pos, &forged, sizeof(forged));
-  std::stringstream bad(bytes);
-  Multigraph loaded;
-  EXPECT_TRUE(loaded.Load(bad).IsCorruption());
+  auto short_meta = testutil::WriteAndMapSections(
+      "multigraph_short_meta",
+      [](amf::Writer* w) { w->AddOwned<uint32_t>(0x1000, {1, 2, 3}); });
+  EXPECT_TRUE(g.LoadAmf(short_meta.reader).IsCorruption());
+  auto forged_count = testutil::WriteAndMapSections(
+      "multigraph_forged_count", [](amf::Writer* w) {
+        w->AddOwned<uint64_t>(0x1000, {1ULL << 50, 0, 0, 0});
+      });
+  EXPECT_TRUE(g.LoadAmf(forged_count.reader).IsCorruption());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "graph/multigraph.h"
 #include "index/neighborhood_index.h"
@@ -172,10 +171,10 @@ TEST(NeighborhoodIndexTest, SaveLoadRoundTrip) {
   Multigraph g = Multigraph::FromDataset(*encoded);
   NeighborhoodIndex index = NeighborhoodIndex::Build(g);
 
-  std::stringstream ss;
-  index.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "neighborhood_index", [&](amf::Writer* w) { index.SaveAmf(w); });
   NeighborhoodIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader).ok());
 
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     for (Direction d : {Direction::kIn, Direction::kOut}) {

@@ -1,8 +1,8 @@
 // Concurrency battery for the serving runtime: N client threads hammer one
 // QueryService with a mixed workload (plain SELECT, DISTINCT, LIMIT in the
 // query text, OFFSET/LIMIT pagination, counting and materializing, cached
-// and cache-bypassing, serial and multi-threaded budgets) against all three
-// engine restore paths (fresh build, stream Load, mmap OpenFile). EVERY
+// and cache-bypassing, serial and multi-threaded budgets) against both
+// engine origins (fresh build, mmap OpenFile). EVERY
 // response must be bit-identical to a serial single-engine reference
 // computed up front — rows, row order, var names, counts. This is the suite
 // the TSan CI job runs to pin the shared pool, the admission state and the
@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,15 +166,10 @@ TEST(QueryServiceTest, EightClientsMixedWorkloadBitIdenticalFreshEngine) {
   EXPECT_GT(stats.cache_misses, 0u);
 }
 
-TEST(QueryServiceTest, StreamAndMmapEnginesBitIdentical) {
+TEST(QueryServiceTest, MmapEngineBitIdentical) {
   auto data = testutil::RandomDataset(23, 14, 80, 3);
   AmberEngine fresh = MustBuild(data);
   auto cases = BuildWorkload(fresh, data);
-
-  std::stringstream ss;
-  ASSERT_TRUE(fresh.Save(ss).ok());
-  auto streamed = AmberEngine::Load(ss);
-  ASSERT_TRUE(streamed.ok()) << streamed.status();
 
   const std::string path = testing::TempDir() + "/query_service_" +
                            std::to_string(::getpid()) + ".amf";
@@ -184,9 +178,9 @@ TEST(QueryServiceTest, StreamAndMmapEnginesBitIdentical) {
   ASSERT_TRUE(mapped.ok()) << mapped.status();
 
   // The references came from the FRESH engine; serving them through the
-  // restored engines must produce the very same bytes.
-  for (AmberEngine* engine : {&*streamed, &*mapped}) {
-    QueryService service(engine, BatteryServiceOptions());
+  // restored engine must produce the very same bytes.
+  {
+    QueryService service(&*mapped, BatteryServiceOptions());
     RunBattery(service, cases, /*clients=*/8, /*rounds=*/2);
   }
   ::unlink(path.c_str());

@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "rdf/dictionary.h"
 #include "rdf/encoded_dataset.h"
+#include "test_util.h"
 
 namespace amber {
 namespace {
@@ -44,10 +43,10 @@ TEST(StringDictionaryTest, SaveLoadRoundTrip) {
   dict.GetOrAdd("alpha");
   dict.GetOrAdd("beta \x1f with separator");
   dict.GetOrAdd("");
-  std::stringstream ss;
-  dict.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "string_dictionary", [&](amf::Writer* w) { dict.SaveAmf(w, 0x10); });
   StringDictionary loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader, 0x10).ok());
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(*loaded.Find("alpha"), 0u);
   EXPECT_EQ(loaded.Lookup(2), "");
@@ -118,10 +117,11 @@ TEST(EncodedDatasetTest, AttrPredicateDictionaryRoundTrips) {
   };
   auto encoded = EncodedDataset::Encode(triples);
   ASSERT_TRUE(encoded.ok());
-  std::stringstream ss;
-  encoded->dictionaries.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "attr_predicates",
+      [&](amf::Writer* w) { encoded->dictionaries.SaveAmf(w); });
   RdfDictionaries loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader).ok());
   EXPECT_EQ(loaded.attr_predicates().size(), 1u);
   EXPECT_EQ(loaded.AttrPredicateIri(0), "urn:age");
 }
@@ -182,10 +182,11 @@ TEST(RdfDictionariesTest, SaveLoadRoundTrip) {
   };
   auto encoded = EncodedDataset::Encode(triples);
   ASSERT_TRUE(encoded.ok());
-  std::stringstream ss;
-  encoded->dictionaries.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "rdf_dictionaries",
+      [&](amf::Writer* w) { encoded->dictionaries.SaveAmf(w); });
   RdfDictionaries loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader).ok());
   EXPECT_EQ(loaded.vertices().size(), 2u);
   EXPECT_EQ(loaded.edge_types().size(), 1u);
   EXPECT_EQ(loaded.attributes().size(), 1u);

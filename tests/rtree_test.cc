@@ -4,9 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "index/rtree.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace amber {
@@ -138,10 +137,10 @@ TEST(RTreeTest, BulkAcceptPathIsExercised) {
 TEST(RTreeTest, SaveLoadRoundTrip) {
   std::vector<Synopsis> pts = RandomPoints(77, 3000, 10);
   SynopsisRTree tree = SynopsisRTree::Build(pts);
-  std::stringstream ss;
-  tree.Save(ss);
+  auto sections = testutil::WriteAndMapSections(
+      "rtree", [&](amf::Writer* w) { tree.SaveAmf(w); });
   SynopsisRTree loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ASSERT_TRUE(loaded.LoadAmf(sections.reader).ok());
   EXPECT_EQ(loaded.NumPoints(), tree.NumPoints());
   EXPECT_EQ(loaded.NumNodes(), tree.NumNodes());
   Rng rng(123);

@@ -1,12 +1,17 @@
 // Shared helpers for the AMbER test suite: paper-example fixtures, random
-// dataset/query generators for property tests, and a term-level brute-force
-// reference evaluator used as the oracle for cross-engine agreement.
+// dataset/query generators for property tests, a term-level brute-force
+// reference evaluator used as the oracle for cross-engine agreement, and a
+// per-component AMF round trip.
 
 #ifndef AMBER_TESTS_TEST_UTIL_H_
 #define AMBER_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -18,10 +23,51 @@
 #include "rdf/term.h"
 #include "sparql/ast.h"
 #include "sparql/filters.h"
+#include "util/amf.h"
+#include "util/mmap_file.h"
 #include "util/random.h"
 
 namespace amber {
 namespace testutil {
+
+/// One component's AMF sections, written to a file of their own and
+/// mapped back, so a SaveAmf/LoadAmf pair can be tested without an engine.
+/// Whatever is loaded from `reader` borrows from `file`: keep this alive
+/// while it is used.
+struct MappedSections {
+  MappedFile file;
+  amf::Reader reader;
+};
+
+/// Writes the sections `save` adds to a per-process temp file named after
+/// `name` and maps it back.
+inline MappedSections WriteAndMapSections(
+    const std::string& name, const std::function<void(amf::Writer*)>& save) {
+  amf::Writer writer;
+  save(&writer);
+  const std::string path = testing::TempDir() + "/" + name + "_" +
+                           std::to_string(::getpid()) + ".amf";
+  MappedSections out;
+  Status written = writer.WriteTo(path);
+  if (!written.ok()) {
+    ADD_FAILURE() << "writing " << path << ": " << written;
+    return out;
+  }
+  auto file = MappedFile::Open(path);
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  if (!file.ok()) {
+    ADD_FAILURE() << "mapping " << path << ": " << file.status();
+    return out;
+  }
+  out.file = std::move(file).value();
+  auto reader = amf::Reader::Open(out.file.data());
+  if (!reader.ok()) {
+    ADD_FAILURE() << "opening " << path << ": " << reader.status();
+    return out;
+  }
+  out.reader = std::move(reader).value();
+  return out;
+}
 
 /// Parses N-Triples text, aborting the test on failure.
 inline std::vector<Triple> MustParse(std::string_view ntriples) {
