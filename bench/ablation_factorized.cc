@@ -5,11 +5,11 @@
 //
 //   count-fact       Count() — product-of-list-sizes arithmetic, the
 //                    odometer never runs;
-//   enumerate-flat   Materialize() in flat form — the full cross-product
-//                    is expanded row by row;
+//   enumerate-flat   Stream() into a discarding sink — the matcher's flat
+//                    odometer expands the full cross-product row by row;
 //   expand-fact      Factorize() + cursor expansion of every row — same
 //                    output as enumerate-flat, through the factorized
-//                    handle;
+//                    handle (what Materialize() does);
 //   page-fact        Factorize() + Skip(total - 10) + a 10-row page — the
 //                    deep-offset pagination path (prefix groups are
 //                    skipped arithmetically, only the page expands).
@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,16 @@
 #include "core/factorized.h"
 #include "gen/workload.h"
 #include "sparql/parser.h"
+
+namespace {
+
+/// Accepts and drops every streamed row.
+class DiscardingRowSink : public amber::RowSink {
+ public:
+  bool OnRow(std::span<const std::string>) override { return true; }
+};
+
+}  // namespace
 
 int main() {
   using namespace amber;
@@ -92,14 +103,13 @@ int main() {
             break;
           }
           case kEnumerateFlat: {
-            auto r = engine.Materialize(*parsed, opts);
+            DiscardingRowSink discard;
+            auto r = engine.Stream(*parsed, opts, &discard);
             answered = r.ok() && !r->stats.timed_out;
             break;
           }
           case kExpandFact: {
-            ExecOptions fopts = opts;
-            fopts.result_form = ResultForm::kFactorized;
-            auto r = engine.Factorize(*parsed, fopts);
+            auto r = engine.Factorize(*parsed, opts);
             answered = r.ok() && !r->stats.timed_out;
             if (answered) {
               FactorizedResult::Cursor cur = r->result.Expand();
@@ -110,9 +120,7 @@ int main() {
             break;
           }
           case kPageFact: {
-            ExecOptions fopts = opts;
-            fopts.result_form = ResultForm::kFactorized;
-            auto r = engine.Factorize(*parsed, fopts);
+            auto r = engine.Factorize(*parsed, opts);
             answered = r.ok() && !r->stats.timed_out;
             if (answered) {
               const uint64_t total = r->result.total_rows;

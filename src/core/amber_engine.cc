@@ -13,32 +13,30 @@
 namespace amber {
 
 namespace {
-/// Serial streaming sink: forwards rows to `deliver` as the matcher finds
-/// them, deduplicating (DISTINCT) and capping on delivered rows. The cap
-/// counts rows the consumer accepted, so truncation means exactly "cap
-/// delivered".
-class StreamingSink : public EmbeddingSink {
- public:
-  StreamingSink(bool dedup, uint64_t cap,
-                const std::function<bool(std::span<const VertexId>)>& deliver)
-      : dedup_(dedup), cap_(cap), deliver_(deliver) {}
+// The parallel mode covers every execution shape except fully ground
+// queries (no components => nothing to partition): results are
+// bit-identical to serial by the deterministic chunk-order merge of
+// parallel_exec.h.
+bool RunsParallel(const ExecOptions& options, const QueryPlan& plan) {
+  return options.num_threads > 1 && !plan.components.empty();
+}
 
-  bool wants_rows() const override { return true; }
-  bool OnRow(std::span<const VertexId> row) override {
-    if (dedup_ && !seen_.insert(RowDedupKey(row)).second) return true;
-    if (!deliver_(row)) return false;
-    ++count_;
-    return cap_ == 0 || count_ < cap_;
-  }
-  bool OnCount(uint64_t) override { return true; }  // row mode only
+// Selectivity-aware ordering only when FILTER pushdown is on, so the
+// post-filter ablation measures residual evaluation under the paper's
+// plan, not a different plan.
+QueryPlan PlanFor(const QueryGraph& qg, const ExecOptions& options,
+                  const IndexSet& indexes, const Multigraph& graph) {
+  return PlanQuery(qg, options.plan,
+                   options.use_value_index ? &indexes.value : nullptr,
+                   graph.NumVertices());
+}
 
- private:
-  bool dedup_;
-  uint64_t cap_;
-  const std::function<bool(std::span<const VertexId>)>& deliver_;
-  uint64_t count_ = 0;
-  std::unordered_set<std::string> seen_;
-};
+std::vector<std::string> VarNames(const QueryGraph& qg) {
+  std::vector<std::string> names;
+  names.reserve(qg.projection().size());
+  for (uint32_t u : qg.projection()) names.push_back(qg.vertices()[u].name);
+  return names;
+}
 }  // namespace
 
 Result<AmberEngine> AmberEngine::Build(const std::vector<Triple>& triples,
@@ -78,235 +76,122 @@ Result<AmberEngine> AmberEngine::BuildFromFile(const std::string& path) {
   return Build(triples);
 }
 
-Result<uint64_t> AmberEngine::Execute(
-    const SelectQuery& query, const ExecOptions& options, ExecStats* stats,
-    std::vector<std::vector<VertexId>>* materialize_into) {
-  // Transient-fault site: chaos tests inject kUnavailable / allocation
-  // pressure here; the serving layer's retry policy treats the injected
-  // Status exactly like an organic engine failure.
+Result<CountResult> AmberEngine::Count(const SelectQuery& query,
+                                       const ExecOptions& options) {
+  CountResult result;
+  if (query.distinct) {
+    // DISTINCT counts read the answer graph's exact total.
+    AMBER_ASSIGN_OR_RETURN(FactorizedRows fr, Factorize(query, options));
+    result.count = fr.stats.rows;
+    result.stats = fr.stats;
+    return result;
+  }
+  // Transient-fault site, passed once by every public query call: chaos
+  // tests inject kUnavailable / allocation pressure here; the serving
+  // layer's retry policy treats the injected Status exactly like an
+  // organic engine failure.
   AMBER_RETURN_IF_ERROR(
       FaultInjector::Global().Inject(faults::kEngineExecute));
   Stopwatch sw;
   AMBER_ASSIGN_OR_RETURN(QueryGraph qg, QueryGraph::Build(query, dicts_));
   const uint64_t cap = EffectiveRowCap(query, options);
-
-  uint64_t rows = 0;
+  ExecStats& stats = result.stats;
   if (!qg.unsatisfiable()) {
-    // Selectivity-aware ordering only when pushdown is on, so the
-    // post-filter ablation measures residual evaluation under the paper's
-    // plan, not a different plan.
-    QueryPlan plan = PlanQuery(qg, options.plan,
-                               options.use_value_index ? &indexes_.value
-                                                       : nullptr,
-                               graph_.NumVertices());
-
-    // The parallel mode covers every execution shape except fully ground
-    // queries (no components => nothing to partition): results are
-    // bit-identical to serial by the deterministic chunk-order merge of
-    // parallel_exec.h.
-    const bool parallel =
-        options.num_threads > 1 && !plan.components.empty();
-    if (materialize_into != nullptr &&
-        UseFactorizedForm(options.result_form, plan)) {
-      // Factorized route to the same flat rows: collect the answer graph,
-      // then expand lazily up to the cap. Row order and truncation match
-      // the direct sinks by construction (docs/ARCHITECTURE.md,
-      // "Factorized answer graphs").
-      const uint32_t num_slots =
-          static_cast<uint32_t>(qg.projection().size());
-      std::vector<uint32_t> slot_list =
-          BuildSlotList(qg.projection(), plan.is_core);
-      FactorizedResult fact;
-      if (parallel) {
-        ParallelFactorizeRequest req;
-        req.num_slots = num_slots;
-        req.slot_list = slot_list;
-        req.out = &fact;
-        AMBER_ASSIGN_OR_RETURN(
-            ParallelRunResult pr,
-            RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                               stats, nullptr, nullptr, &req));
-        stats->rows_expanded += req.rows_expanded;
-        stats->truncated = stats->truncated || pr.truncated;
-      } else {
-        Matcher matcher(graph_, indexes_, qg, plan, options);
-        FactorizedBuilder builder(num_slots, slot_list, qg.distinct(), cap);
-        FactorizedSink fsink(&builder);
-        AMBER_RETURN_IF_ERROR(
-            matcher.Run(&fsink, stats, std::nullopt,
-                        /*bag_multiplicity=*/!qg.distinct()));
-        stats->rows_expanded += builder.rows_expanded();
-        fact = builder.Finish();
-        stats->truncated = stats->truncated || fact.truncated;
-      }
-      stats->bytes_factorized += fact.ByteSize();
-      FactorizedResult::Cursor cur = fact.Expand();
-      while ((cap == 0 || materialize_into->size() < cap) && cur.Next()) {
-        materialize_into->emplace_back(cur.Row().begin(), cur.Row().end());
-      }
-      stats->rows_expanded += cur.rows_expanded();
-      rows = materialize_into->size();
-    } else if (parallel) {
+    // Bag counts are cardinality arithmetic: the counting sinks take each
+    // solution record's satellite product without expanding it.
+    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    if (RunsParallel(options, plan)) {
       AMBER_ASSIGN_OR_RETURN(
           ParallelRunResult pr,
-          RunMatcherParallel(graph_, indexes_, qg, plan, options, cap, stats,
-                             materialize_into));
-      rows = pr.rows;
-      stats->truncated = stats->truncated || pr.truncated;
+          RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
+                             &stats));
+      stats.rows = pr.rows;
+      stats.truncated = stats.truncated || pr.truncated;
     } else {
       Matcher matcher(graph_, indexes_, qg, plan, options);
-      if (materialize_into != nullptr) {
-        if (qg.distinct()) {
-          DistinctSink sink(/*keep_rows=*/true, cap);
-          AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats, std::nullopt,
-                                            /*bag_multiplicity=*/false));
-          *materialize_into = sink.TakeRows();
-          rows = sink.count();
-        } else {
-          CollectingSink sink(cap);
-          AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats));
-          *materialize_into = std::move(sink.TakeRows());
-          rows = materialize_into->size();
-        }
-      } else if (qg.distinct()) {
-        DistinctSink sink(/*keep_rows=*/false, cap);
-        AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats, std::nullopt,
-                                          /*bag_multiplicity=*/false));
-        rows = sink.count();
-      } else {
-        CountingSink sink(cap);
-        AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats));
-        rows = sink.count();
-      }
+      CountingSink sink(cap);
+      AMBER_RETURN_IF_ERROR(matcher.Run(&sink, &stats));
+      stats.rows = sink.count();
     }
   }
-
-  stats->rows = rows;
-  stats->elapsed_ms = sw.ElapsedMillis();
-  return rows;
-}
-
-Result<CountResult> AmberEngine::Count(const SelectQuery& query,
-                                       const ExecOptions& options) {
-  CountResult result;
-  AMBER_ASSIGN_OR_RETURN(result.count,
-                         Execute(query, options, &result.stats, nullptr));
+  result.count = stats.rows;
+  stats.elapsed_ms = sw.ElapsedMillis();
   return result;
 }
 
 Result<MaterializedRows> AmberEngine::Materialize(const SelectQuery& query,
                                                   const ExecOptions& options) {
+  Stopwatch sw;
+  AMBER_ASSIGN_OR_RETURN(FactorizedRows fr, Factorize(query, options));
   MaterializedRows result;
-  std::vector<std::vector<VertexId>> raw;
-  AMBER_RETURN_IF_ERROR(
-      Execute(query, options, &result.stats, &raw).status());
-
-  // Recover variable names in projection order.
-  AMBER_ASSIGN_OR_RETURN(QueryGraph qg, QueryGraph::Build(query, dicts_));
-  for (uint32_t u : qg.projection()) {
-    result.var_names.push_back(qg.vertices()[u].name);
+  result.var_names = std::move(fr.var_names);
+  result.stats = fr.stats;
+  // Expansion order is the flat serial order and stats.rows is the capped
+  // exact total, so the cursor's first stats.rows rows are the answer.
+  FactorizedResult::Cursor cur = fr.result.Expand();
+  while (result.rows.size() < result.stats.rows && cur.Next()) {
+    result.rows.push_back(TranslateRow(cur.Row()));
   }
-  result.rows.reserve(raw.size());
-  for (const auto& row : raw) {
-    result.rows.push_back(TranslateRow(row));
-  }
+  result.stats.rows_expanded += cur.rows_expanded();
+  result.stats.elapsed_ms = sw.ElapsedMillis();
   return result;
 }
 
 Result<FactorizedRows> AmberEngine::Factorize(const SelectQuery& query,
                                               const ExecOptions& options) {
+  AMBER_RETURN_IF_ERROR(
+      FaultInjector::Global().Inject(faults::kEngineExecute));
   Stopwatch sw;
   AMBER_ASSIGN_OR_RETURN(QueryGraph qg, QueryGraph::Build(query, dicts_));
   const uint64_t cap = EffectiveRowCap(query, options);
   const uint32_t num_slots = static_cast<uint32_t>(qg.projection().size());
 
   FactorizedRows out;
-  for (uint32_t u : qg.projection()) {
-    out.var_names.push_back(qg.vertices()[u].name);
-  }
-
+  out.var_names = VarNames(qg);
+  ExecStats& stats = out.stats;
   if (qg.unsatisfiable()) {
-    out.result.num_slots = num_slots;
-    out.result.slot_list.assign(num_slots, kNoGroupList);
-    out.result.distinct = qg.distinct();
-    out.result.row_limit = cap;
-    out.stats.elapsed_ms = sw.ElapsedMillis();
-    return out;
-  }
-
-  QueryPlan plan = PlanQuery(qg, options.plan,
-                             options.use_value_index ? &indexes_.value
-                                                     : nullptr,
-                             graph_.NumVertices());
-
-  if (!UseFactorizedForm(options.result_form, plan)) {
-    // Flat-resolved form: run the ordinary row pipeline (which owns the
-    // fault site) and wrap each resolved row as a singleton group, so
-    // every form hands back a usable answer-graph handle.
-    std::vector<std::vector<VertexId>> raw;
-    AMBER_RETURN_IF_ERROR(
-        Execute(query, options, &out.stats, &raw).status());
-    FactorizedBuilder builder(num_slots,
-                              std::vector<uint32_t>(num_slots, kNoGroupList),
-                              /*distinct=*/false, /*cap=*/0);
-    for (std::vector<VertexId>& row : raw) {
-      FactorizedResult::Group grp;
-      grp.fixed = std::move(row);
-      builder.Add(std::move(grp));
-    }
-    out.result = builder.Finish();
-    out.result.distinct = qg.distinct();
-    out.result.row_limit = cap;
-    out.result.truncated = out.stats.truncated;
-    out.stats.groups_emitted += out.result.groups.size();
-    out.stats.factorized_rows_represented = SaturatingAdd(
-        out.stats.factorized_rows_represented, out.result.total_rows);
-    out.stats.bytes_factorized += out.result.ByteSize();
-    out.stats.elapsed_ms = sw.ElapsedMillis();
-    return out;
-  }
-
-  // Factorized form: groups come straight from the matcher. This path does
-  // not pass through Execute, so it owns the transient-fault site.
-  AMBER_RETURN_IF_ERROR(
-      FaultInjector::Global().Inject(faults::kEngineExecute));
-  std::vector<uint32_t> slot_list =
-      BuildSlotList(qg.projection(), plan.is_core);
-  const bool parallel = options.num_threads > 1 && !plan.components.empty();
-  if (parallel) {
-    ParallelFactorizeRequest req;
-    req.num_slots = num_slots;
-    req.slot_list = slot_list;
-    req.out = &out.result;
-    AMBER_ASSIGN_OR_RETURN(
-        ParallelRunResult pr,
-        RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                           &out.stats, nullptr, nullptr, &req));
-    out.stats.rows = pr.rows;
-    out.stats.truncated = out.stats.truncated || pr.truncated;
-    out.stats.rows_expanded += req.rows_expanded;
+    out.result = FactorizedBuilder(num_slots,
+                                   std::vector<uint32_t>(num_slots,
+                                                         kNoGroupList),
+                                   qg.distinct(), cap)
+                     .Finish();
   } else {
-    Matcher matcher(graph_, indexes_, qg, plan, options);
-    FactorizedBuilder builder(num_slots, slot_list, qg.distinct(), cap);
-    FactorizedSink fsink(&builder);
-    AMBER_RETURN_IF_ERROR(matcher.Run(&fsink, &out.stats, std::nullopt,
-                                      /*bag_multiplicity=*/!qg.distinct()));
-    out.stats.rows_expanded += builder.rows_expanded();
-    out.result = builder.Finish();
-    out.stats.rows = cap == 0 ? out.result.total_rows
-                              : std::min(out.result.total_rows, cap);
-    out.stats.truncated = out.stats.truncated || out.result.truncated;
+    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    std::vector<uint32_t> slot_list =
+        BuildSlotList(qg.projection(), plan.is_core);
+    if (RunsParallel(options, plan)) {
+      ParallelFactorizeRequest req;
+      req.num_slots = num_slots;
+      req.slot_list = std::move(slot_list);
+      req.out = &out.result;
+      AMBER_RETURN_IF_ERROR(RunMatcherParallel(graph_, indexes_, qg, plan,
+                                               options, cap, &stats, nullptr,
+                                               &req)
+                                .status());
+      stats.rows_expanded += req.rows_expanded;
+    } else {
+      Matcher matcher(graph_, indexes_, qg, plan, options);
+      FactorizedBuilder builder(num_slots, std::move(slot_list),
+                                qg.distinct(), cap);
+      FactorizedSink sink(&builder);
+      AMBER_RETURN_IF_ERROR(
+          matcher.Run(&sink, &stats, std::nullopt,
+                      /*bag_multiplicity=*/!qg.distinct()));
+      stats.rows_expanded += builder.rows_expanded();
+      out.result = builder.Finish();
+    }
   }
-  out.stats.bytes_factorized += out.result.ByteSize();
-  out.stats.elapsed_ms = sw.ElapsedMillis();
+  stats.rows = cap == 0 ? out.result.total_rows
+                        : std::min(out.result.total_rows, cap);
+  stats.truncated = stats.truncated || out.result.truncated;
+  stats.bytes_factorized += out.result.ByteSize();
+  stats.elapsed_ms = sw.ElapsedMillis();
   return out;
 }
 
 Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
                                          const ExecOptions& options,
                                          RowSink* sink) {
-  // Same fault site as Execute: a streamed request fails identically to a
-  // materializing one under chaos schedules.
   AMBER_RETURN_IF_ERROR(
       FaultInjector::Global().Inject(faults::kEngineExecute));
   Stopwatch sw;
@@ -314,9 +199,7 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
   const uint64_t cap = EffectiveRowCap(query, options);
 
   StreamResult out;
-  for (uint32_t u : qg.projection()) {
-    out.var_names.push_back(qg.vertices()[u].name);
-  }
+  out.var_names = VarNames(qg);
 
   // Translation + forwarding. Never invoked concurrently (the serial
   // matcher is single-threaded; the parallel fan-in serializes its
@@ -333,24 +216,20 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
     ++delivered;
     return true;
   };
-  const std::function<bool(std::span<const VertexId>)> deliver_fn = deliver;
 
   if (!qg.unsatisfiable()) {
-    QueryPlan plan = PlanQuery(qg, options.plan,
-                               options.use_value_index ? &indexes_.value
-                                                       : nullptr,
-                               graph_.NumVertices());
-    const bool parallel =
-        options.num_threads > 1 && !plan.components.empty();
-    if (parallel) {
-      ParallelStreamSink stream{deliver_fn};
-      AMBER_RETURN_IF_ERROR(
-          RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                             &out.stats, nullptr, &stream)
-              .status());
+    // The flat odometer: rows leave one at a time, so memory stays bounded
+    // by the chunk buffers whatever the result's size.
+    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    if (RunsParallel(options, plan)) {
+      ParallelStreamSink stream{deliver};
+      AMBER_RETURN_IF_ERROR(RunMatcherParallel(graph_, indexes_, qg, plan,
+                                               options, cap, &out.stats,
+                                               &stream)
+                                .status());
     } else {
       Matcher matcher(graph_, indexes_, qg, plan, options);
-      StreamingSink ssink(qg.distinct(), cap, deliver_fn);
+      StreamingSink ssink(qg.distinct(), cap, deliver);
       AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats, std::nullopt,
                                         /*bag_multiplicity=*/!qg.distinct()));
     }

@@ -75,10 +75,11 @@ class AmberEngine : public QueryEngine {
                               RowSink* sink) override;
 
   /// Executes and retains the result as a factorized answer graph (see
-  /// docs/ARCHITECTURE.md, "Factorized answer graphs"). Under kFactorized
-  /// (or kAuto on a plan with satellites) groups come straight from the
-  /// matcher — the cross-product is never expanded; under kFlat each row
-  /// becomes a singleton group, so every form yields a usable handle.
+  /// docs/ARCHITECTURE.md, "Factorized answer graphs"): groups come
+  /// straight from the matcher and the cross-product is never expanded.
+  /// This is the one way the engine retains a result — Materialize is
+  /// this plus a translating cursor, and DISTINCT counts read its exact
+  /// total.
   Result<FactorizedRows> Factorize(const SelectQuery& query,
                                    const ExecOptions& options) override;
 
@@ -112,12 +113,6 @@ class AmberEngine : public QueryEngine {
 
  private:
   AmberEngine() = default;
-
-  // Runs the matcher with the right sink into `stats`; reports the row
-  // count. `materialize_into` non-null collects rows.
-  Result<uint64_t> Execute(const SelectQuery& query,
-                           const ExecOptions& options, ExecStats* stats,
-                           std::vector<std::vector<VertexId>>* materialize_into);
 
   RdfDictionaries dicts_;
   Multigraph graph_;

@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/query_plan.h"
@@ -22,20 +24,6 @@
 namespace amber {
 
 class ThreadPool;  // util/thread_pool.h
-
-/// Result representation an execution produces (docs/ARCHITECTURE.md,
-/// "Factorized answer graphs").
-enum class ResultForm : uint8_t {
-  /// Expanded rows — the classic cross-product enumeration.
-  kFlat,
-  /// Factorized answer graph: (core embedding × per-projected-satellite
-  /// candidate lists) groups, expanded lazily. Expansion order is
-  /// bit-identical to kFlat.
-  kFactorized,
-  /// kFactorized when the plan has satellite vertices (groups can represent
-  /// more than one row), kFlat otherwise.
-  kAuto,
-};
 
 /// Per-query execution options.
 struct ExecOptions {
@@ -89,12 +77,6 @@ struct ExecOptions {
   /// candidate, and the planner ignores range-width selectivity (the
   /// post-filter-only mode of bench/fig12_filter.cc).
   bool use_value_index = true;
-
-  /// Result representation. kFlat (the default) is the classic expanded
-  /// enumeration. kFactorized / kAuto route Materialize through the
-  /// factorized collector and expand lazily afterwards (rows bit-identical
-  /// to kFlat), and select the representation `Factorize` retains.
-  ResultForm result_form = ResultForm::kFlat;
 };
 
 /// Saturating uint64 multiply (embedding counts can overflow).
@@ -304,9 +286,9 @@ class CollectingSink : public EmbeddingSink {
 };
 
 /// Byte key identifying a projected row for DISTINCT deduplication. The
-/// parallel merge dedups across chunks with the same keys DistinctSink
-/// builds per chunk — both MUST use this helper so the encodings can never
-/// drift apart.
+/// parallel stream dedups across chunks with the same keys StreamingSink
+/// builds per chunk — every row-level dedup MUST use this helper so the
+/// encodings can never drift apart.
 inline std::string RowDedupKey(std::span<const VertexId> row) {
   return std::string(reinterpret_cast<const char*>(row.data()),
                      row.size() * sizeof(VertexId));
@@ -333,9 +315,6 @@ class DistinctSink : public EmbeddingSink {
   uint64_t count() const { return count_; }
   const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
   std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
-  /// The dedup key set (the parallel count-only merge unions these instead
-  /// of retaining rows).
-  std::unordered_set<std::string>&& TakeSeen() { return std::move(seen_); }
 
  private:
   bool keep_rows_;
@@ -343,6 +322,35 @@ class DistinctSink : public EmbeddingSink {
   uint64_t count_ = 0;
   std::unordered_set<std::string> seen_;
   std::vector<std::vector<VertexId>> rows_;
+};
+
+/// Forwards rows to `deliver` as the matcher finds them: the stream mode,
+/// serially and per parallel chunk. Deduplicates under DISTINCT and stops
+/// once `cap` rows were delivered (0 = no cap). The cap counts rows the
+/// callback accepted, so a cap stop means exactly "cap delivered"; a false
+/// return from the callback stops enumeration.
+class StreamingSink : public EmbeddingSink {
+ public:
+  using Deliver = std::function<bool(std::span<const VertexId>)>;
+
+  StreamingSink(bool dedup, uint64_t cap, Deliver deliver)
+      : dedup_(dedup), cap_(cap), deliver_(std::move(deliver)) {}
+
+  bool wants_rows() const override { return true; }
+  bool OnRow(std::span<const VertexId> row) override {
+    if (dedup_ && !seen_.insert(RowDedupKey(row)).second) return true;
+    if (!deliver_(row)) return false;
+    ++delivered_;
+    return cap_ == 0 || delivered_ < cap_;
+  }
+  bool OnCount(uint64_t) override { return true; }  // row mode only
+
+ private:
+  bool dedup_;
+  uint64_t cap_;
+  Deliver deliver_;
+  uint64_t delivered_ = 0;
+  std::unordered_set<std::string> seen_;
 };
 
 }  // namespace amber

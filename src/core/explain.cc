@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/factorized.h"
-
 namespace amber {
 
 namespace {
@@ -103,8 +101,8 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
          " component(s)\n";
 
   if (exec != nullptr) {
-    // Mirrors AmberEngine::Execute's parallel gate: >1 threads and at
-    // least one component (fully ground queries have nothing to shard).
+    // Mirrors AmberEngine's parallel gate: >1 threads and at least one
+    // component (fully ground queries have nothing to shard).
     if (exec->num_threads > 1 && !plan.components.empty()) {
       const uint32_t uinit = plan.components[0].core_order[0];
       out += "Parallel online stage: " +
@@ -118,13 +116,17 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
              ")\n";
     }
 
-    // Result representation the options select for THIS plan (kAuto
-    // factorizes exactly when the decomposition has satellites to group).
-    const bool factorized = UseFactorizedForm(exec->result_form, plan);
-    out += "Result form: ";
-    out += factorized ? "factorized" : "flat";
-    if (exec->result_form == ResultForm::kAuto) out += " (auto)";
-    out += "\n";
+    // Retained results are always answer graphs; satellites decide
+    // whether a group can stand for more than one row.
+    const size_t satellites = plan.NumSatelliteVertices();
+    out += "Result form: factorized (";
+    if (satellites > 0) {
+      out += std::to_string(satellites) +
+             " satellite vertices grouped per core embedding";
+    } else {
+      out += "no satellites: one row per group";
+    }
+    out += ")\n";
 
     if (stats != nullptr && stats->groups_emitted > 0) {
       out += "  groups emitted: " + std::to_string(stats->groups_emitted) +

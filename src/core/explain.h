@@ -23,11 +23,11 @@ namespace amber {
 /// (and, when `indexes` is non-null, initial candidate counts from S).
 /// When `exec` is non-null, also reports how the parallel online stage
 /// would run under those execution options (partition unit, worker count,
-/// determinism contract) — or that execution stays serial — and which
-/// result form (flat rows vs factorized answer graph) the options select
-/// for this plan. When `stats` is additionally non-null, reports the
-/// factorization outcome of an actual execution: groups emitted, rows
-/// represented vs expanded, and the compression ratio.
+/// determinism contract) — or that execution stays serial — and whether
+/// the plan has satellites, i.e. whether a group of its answer graph can
+/// stand for more than one row. When `stats` is additionally non-null,
+/// reports the factorization outcome of an actual execution: groups
+/// emitted, rows represented vs expanded, and the compression ratio.
 Result<std::string> ExplainQuery(const SelectQuery& query,
                                  const RdfDictionaries& dicts,
                                  const IndexSet* indexes,

@@ -206,6 +206,9 @@ bool FactorizedBuilder::Add(FactorizedResult::Group&& g) {
       // cannot recur (a later group with this key would collide below).
       total_ = SaturatingAdd(total_, card);
       result_.groups.push_back(std::move(g));
+    } else if (g.lists.empty()) {
+      // No projected satellite: the key is the whole row, which the key's
+      // holder already contributed. Drop the exact duplicate.
     } else {
       if (it->second != kInDedup) {
         // First collision on this key: retroactively flag the prior group

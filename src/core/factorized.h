@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/exec.h"
-#include "core/query_plan.h"
 #include "rdf/encoded_dataset.h"
 
 namespace amber {
@@ -63,12 +62,14 @@ struct FactorizedResult {
   };
 
   /// Groups in emission order (= the serial matcher's order; the parallel
-  /// path concatenates chunks in chunk order, which is the same order).
+  /// path concatenates chunks in chunk order, which is the same order),
+  /// less any exact duplicates DISTINCT dropped.
   std::vector<Group> groups;
 
   /// Exact number of expansion rows: the saturating sum of group
-  /// cardinalities, minus duplicates removed by the DISTINCT fallback
-  /// (tracked exactly at build time — never an estimate).
+  /// cardinalities, minus the DISTINCT duplicates (dropped groups and rows
+  /// the fallback filters; tracked exactly at build time — never an
+  /// estimate).
   uint64_t total_rows = 0;
   /// Sum of group cardinalities (rows represented before any dedup).
   uint64_t represented_rows = 0;
@@ -141,9 +142,11 @@ struct FactorizedResult {
 /// core-bound slots. Distinct keys can never yield equal rows (the rows
 /// differ in a core slot) and rows within one group are always distinct
 /// (candidate lists are duplicate-free), so duplicates are possible only
-/// between groups sharing a key: on the first collision both groups are
-/// flagged needs_dedup and their rows expanded into a row-level seen set,
-/// keeping `total_rows` exact while everything else stays compact.
+/// between groups sharing a key. A group without lists (no projected
+/// satellite) IS its key, so a collision there is an exact duplicate row
+/// and the group is dropped. Otherwise, on the first collision both groups
+/// are flagged needs_dedup and their rows expanded into a row-level seen
+/// set, keeping `total_rows` exact while everything else stays compact.
 class FactorizedBuilder {
  public:
   /// `cap`: stop accepting once the (distinct-aware) total reaches this
@@ -152,10 +155,11 @@ class FactorizedBuilder {
   FactorizedBuilder(uint32_t num_slots, std::vector<uint32_t> slot_list,
                     bool distinct, uint64_t cap);
 
-  /// Appends one group (emission order). Returns false once the cap is
-  /// reached — the group IS retained; the caller stops producing. Any
-  /// incoming needs_dedup flag is recomputed (chunk-local flags from a
-  /// parallel run carry no meaning across chunks).
+  /// Appends one group (emission order), or drops it when DISTINCT makes
+  /// it an exact duplicate. Returns false once the cap is reached — the
+  /// group IS retained; the caller stops producing. Any incoming
+  /// needs_dedup flag is recomputed (chunk-local flags from a parallel run
+  /// carry no meaning across chunks).
   bool Add(FactorizedResult::Group&& g);
 
   /// Exact (distinct-aware) expansion rows accumulated so far.
@@ -200,21 +204,6 @@ class FactorizedSink : public EmbeddingSink {
  private:
   FactorizedBuilder* builder_;
 };
-
-/// True when `form` resolves to factorized emission for `plan`. kAuto
-/// picks factorized only when the plan has satellite vertices — without
-/// them every group is a singleton and flat is strictly cheaper.
-inline bool UseFactorizedForm(ResultForm form, const QueryPlan& plan) {
-  switch (form) {
-    case ResultForm::kFlat:
-      return false;
-    case ResultForm::kFactorized:
-      return true;
-    case ResultForm::kAuto:
-      return plan.NumSatelliteVertices() > 0;
-  }
-  return false;
-}
 
 /// Derives FactorizedResult::slot_list for `projection` under `plan`:
 /// kNoGroupList for core slots, otherwise the index of the satellite's

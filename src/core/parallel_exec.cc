@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <latch>
@@ -53,34 +54,6 @@ class BudgetCountingSink : public EmbeddingSink {
   uint64_t cap_;
   std::atomic<uint64_t>* global_;
   uint64_t local_ = 0;
-};
-
-/// Collects up to `cap` rows for one chunk, aborting early when the
-/// *completed prefix of earlier chunks* already holds the full cap — those
-/// rows shadow anything this chunk could contribute, so stopping cannot
-/// change the merged output (the ordered early-cutoff of the determinism
-/// contract).
-class OrderedChunkSink : public EmbeddingSink {
- public:
-  OrderedChunkSink(uint64_t cap, const std::atomic<uint64_t>* prefix_rows,
-                   std::vector<std::vector<VertexId>>* out)
-      : cap_(cap), prefix_rows_(prefix_rows), out_(out) {}
-
-  bool wants_rows() const override { return true; }
-  bool OnRow(std::span<const VertexId> row) override {
-    if (cap_ != 0 &&
-        prefix_rows_->load(std::memory_order_acquire) >= cap_) {
-      return false;
-    }
-    out_->emplace_back(row.begin(), row.end());
-    return cap_ == 0 || out_->size() < cap_;
-  }
-  bool OnCount(uint64_t) override { return true; }  // unused in row mode
-
- private:
-  uint64_t cap_;
-  const std::atomic<uint64_t>* prefix_rows_;
-  std::vector<std::vector<VertexId>>* out_;
 };
 
 /// \brief The ordered, bounded-memory fan-in of the streaming mode.
@@ -262,41 +235,13 @@ class OrderedStreamer {
   std::unordered_set<std::string> seen_;  // DISTINCT global dedup
 };
 
-/// Per-chunk adapter feeding the OrderedStreamer. Under DISTINCT it
-/// pre-deduplicates chunk-locally (first-occurrence order, which the
-/// emitter's global dedup then refines across chunks) so buffered
-/// duplicates never occupy backpressure budget. `cap` bounds forwarded
-/// rows per chunk — a chunk can never contribute more than the full cap to
-/// the merged prefix, so stopping there cannot change the output.
-class StreamChunkSink : public EmbeddingSink {
- public:
-  StreamChunkSink(OrderedStreamer* streamer, size_t chunk, bool dedup,
-                  uint64_t cap)
-      : streamer_(streamer), chunk_(chunk), dedup_(dedup), cap_(cap) {}
-
-  bool wants_rows() const override { return true; }
-  bool OnRow(std::span<const VertexId> row) override {
-    if (dedup_ && !seen_.insert(RowDedupKey(row)).second) return true;
-    if (!streamer_->OnRow(chunk_, row)) return false;
-    ++forwarded_;
-    return cap_ == 0 || forwarded_ < cap_;
-  }
-  bool OnCount(uint64_t) override { return true; }  // row mode only
-
- private:
-  OrderedStreamer* streamer_;
-  size_t chunk_;
-  bool dedup_;
-  uint64_t cap_;
-  uint64_t forwarded_ = 0;
-  std::unordered_set<std::string> seen_;
-};
-
-/// Factorized chunk sink: groups flow into the chunk-local builder, with
-/// the same ordered early-cutoff OrderedChunkSink applies to rows — a
-/// chunk stops once the finished prefix of earlier chunks already covers
-/// the cap in represented-row units (non-DISTINCT only; DISTINCT chunks
-/// pass a null prefix and rely on their builder's exact local total).
+/// Factorized chunk sink: groups flow into the chunk-local builder, and
+/// the chunk stops once the finished prefix of earlier chunks already
+/// covers the cap in represented-row units — those rows shadow anything
+/// this chunk could contribute, so stopping cannot change the merged
+/// output (the ordered early-cutoff of the determinism contract;
+/// non-DISTINCT only — DISTINCT chunks pass a null prefix and rely on
+/// their builder's exact local total).
 class FactorizedChunkSink : public FactorizedSink {
  public:
   FactorizedChunkSink(FactorizedBuilder* builder,
@@ -327,13 +272,12 @@ class FactorizedChunkSink : public FactorizedSink {
 Result<ParallelRunResult> RunMatcherParallel(
     const Multigraph& g, const IndexSet& indexes, const QueryGraph& q,
     const QueryPlan& plan, const ExecOptions& options, uint64_t cap,
-    ExecStats* stats, std::vector<std::vector<VertexId>>* materialize_into,
-    ParallelStreamSink* stream, ParallelFactorizeRequest* factorize) {
+    ExecStats* stats, ParallelStreamSink* stream,
+    ParallelFactorizeRequest* factorize) {
   const bool distinct = q.distinct();
   const bool streaming = stream != nullptr;
   const bool factorizing = factorize != nullptr;
-  const bool want_rows =
-      materialize_into != nullptr || streaming || factorizing;
+  assert(streaming || factorizing || !distinct);
 
   // ONE absolute deadline for the whole query, shared by every chunk Run:
   // ExecOptions::timeout is a per-query budget, exactly as in serial mode.
@@ -379,10 +323,8 @@ Result<ParallelRunResult> RunMatcherParallel(
   // Per-chunk output slots: written by exactly one worker, read after the
   // pool barrier (ThreadPool::Wait provides the happens-before edge).
   struct ChunkOut {
-    std::vector<std::vector<VertexId>> rows;  // materializing modes
-    std::unordered_set<std::string> keys;     // DISTINCT count-only mode
-    uint64_t count = 0;                       // plain counting mode
-    FactorizedResult fact;                    // factorized mode
+    uint64_t count = 0;     // counting mode
+    FactorizedResult fact;  // factorized mode
   };
   std::vector<ChunkOut> chunks(num_chunks);
   std::vector<ExecStats> worker_stats(num_workers);
@@ -391,8 +333,9 @@ Result<ParallelRunResult> RunMatcherParallel(
   std::atomic<size_t> next_chunk{0};
   // Counting budget: rows counted by the whole fleet (counting mode only).
   std::atomic<uint64_t> counted{0};
-  // Ordered cutoff state: rows produced by the longest fully-finished
-  // prefix of chunks. Guarded by prefix_mu; published via prefix_rows.
+  // Ordered cutoff state, read by the factorized mode: rows produced by
+  // the longest fully-finished prefix of chunks. Guarded by prefix_mu;
+  // published via prefix_rows.
   std::mutex prefix_mu;
   std::vector<uint8_t> chunk_done(num_chunks, 0);
   std::vector<uint64_t> chunk_row_counts(num_chunks, 0);
@@ -469,13 +412,13 @@ Result<ParallelRunResult> RunMatcherParallel(
 
       // Early cutoff. Counting: once the fleet has counted `cap` rows the
       // result is pinned at the cap, so remaining chunks are moot.
-      // Materializing: a chunk is shadowed only when *earlier* chunks
-      // (a superset of the finished prefix, which never reaches an
-      // in-flight chunk) already hold the cap. DISTINCT chunks always run:
+      // Factorizing: a chunk is shadowed only when *earlier* chunks (a
+      // superset of the finished prefix, which never reaches an in-flight
+      // chunk) already hold the cap. DISTINCT chunks always run:
       // cross-chunk duplicates make their contribution unknowable here.
       if (!streaming && cap != 0 && !distinct) {
         const bool moot =
-            want_rows
+            factorizing
                 ? prefix_rows.load(std::memory_order_acquire) >= cap
                 : counted.load(std::memory_order_relaxed) >= cap;
         if (moot) {
@@ -494,10 +437,24 @@ Result<ParallelRunResult> RunMatcherParallel(
       if (streaming) {
         // Stream mode: rows flow straight into the ordered fan-in (which
         // enforces order, backpressure, the cap, and — under DISTINCT —
-        // the global dedup). The prefix machinery is idle here.
+        // the global dedup); the prefix machinery is idle here. The chunk
+        // pre-deduplicates locally (first-occurrence order, which the
+        // emitter's global dedup refines) so buffered duplicates never
+        // occupy backpressure budget, and stops at `cap` forwarded rows:
+        // no chunk can contribute more than the cap to the merged prefix.
         control.bag_multiplicity = !distinct;
-        StreamChunkSink sink(&*streamer, c, distinct, cap);
+        StreamingSink sink(distinct, cap,
+                           [&streamer, c](std::span<const VertexId> row) {
+                             return streamer->OnRow(c, row);
+                           });
         status = matcher.Run(&sink, &worker_stats[wi], control);
+        // A chunk cut short by an error or an interrupt is not exhausted:
+        // abort BEFORE marking it done, or the head could advance past its
+        // missing rows and emit a later chunk's, breaking the prefix.
+        if (!status.ok() || worker_stats[wi].timed_out ||
+            worker_stats[wi].cancelled) {
+          streamer->Abort();
+        }
         streamer->FinishChunk(c);
       } else if (factorizing) {
         // Factorized mode: collect raw groups chunk-locally. The chunk
@@ -515,27 +472,6 @@ Result<ParallelRunResult> RunMatcherParallel(
         worker_stats[wi].rows_expanded += builder.rows_expanded();
         chunks[c].fact = builder.Finish();
         produced = chunks[c].fact.total_rows;
-      } else if (distinct) {
-        // Local dedup per chunk. A chunk never contributes more than `cap`
-        // unique rows: at most |merged prefix| of its first cap
-        // local-uniques can be shadowed by earlier chunks, and the merge
-        // takes at most cap - |merged prefix| new rows from it. The merge
-        // needs rows (in local first-occurrence order) when materializing,
-        // but only the key set when counting — |union| is order-free.
-        control.bag_multiplicity = false;
-        DistinctSink sink(/*keep_rows=*/want_rows, cap);
-        status = matcher.Run(&sink, &worker_stats[wi], control);
-        if (want_rows) {
-          chunks[c].rows = sink.TakeRows();
-          produced = chunks[c].rows.size();
-        } else {
-          chunks[c].keys = sink.TakeSeen();
-          produced = chunks[c].keys.size();
-        }
-      } else if (want_rows) {
-        OrderedChunkSink sink(cap, &prefix_rows, &chunks[c].rows);
-        status = matcher.Run(&sink, &worker_stats[wi], control);
-        produced = chunks[c].rows.size();
       } else {
         BudgetCountingSink sink(cap, &counted);
         status = matcher.Run(&sink, &worker_stats[wi], control);
@@ -652,64 +588,17 @@ Result<ParallelRunResult> RunMatcherParallel(
     return out;
   }
 
-  // Deterministic merge: chunk order == root candidate order == the order
-  // serial enumeration visits, so these walks reproduce serial output
-  // byte for byte. `truncated` mirrors the serial sinks: set exactly when
-  // the merged row count reaches the cap.
-  if (distinct && want_rows) {
-    std::unordered_set<std::string> seen;
-    uint64_t count = 0;
-    for (ChunkOut& chunk : chunks) {
-      if (cap != 0 && count >= cap) break;
-      for (auto& row : chunk.rows) {
-        if (!seen.insert(RowDedupKey(row)).second) continue;
-        ++count;
-        materialize_into->push_back(std::move(row));
-        if (cap != 0 && count >= cap) {
-          out.truncated = true;
-          break;
-        }
-      }
-    }
-    out.rows = count;
-  } else if (distinct) {
-    // Count-only DISTINCT: |union of per-chunk key sets| is independent of
-    // merge order, so splice the sets instead of replaying rows.
-    std::unordered_set<std::string> seen;
-    for (ChunkOut& chunk : chunks) {
-      seen.merge(chunk.keys);
-    }
-    uint64_t count = seen.size();
-    if (cap != 0 && count >= cap) {
-      count = cap;
-      out.truncated = true;
-    }
-    out.rows = count;
-  } else if (want_rows) {
-    uint64_t count = 0;
-    for (ChunkOut& chunk : chunks) {
-      if (cap != 0 && count >= cap) break;
-      for (auto& row : chunk.rows) {
-        materialize_into->push_back(std::move(row));
-        ++count;
-        if (cap != 0 && count >= cap) {
-          out.truncated = true;
-          break;
-        }
-      }
-    }
-    out.rows = count;
-  } else {
-    uint64_t total = 0;
-    for (const ChunkOut& chunk : chunks) {
-      total = SaturatingAdd(total, chunk.count);
-    }
-    if (cap != 0 && total >= cap) {
-      total = cap;
-      out.truncated = true;
-    }
-    out.rows = total;
+  // Counting: the sum is order-free; `truncated` mirrors the serial sink,
+  // set exactly when the total reaches the cap.
+  uint64_t total = 0;
+  for (const ChunkOut& chunk : chunks) {
+    total = SaturatingAdd(total, chunk.count);
   }
+  if (cap != 0 && total >= cap) {
+    total = cap;
+    out.truncated = true;
+  }
+  out.rows = total;
   return out;
 }
 

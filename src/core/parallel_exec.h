@@ -15,18 +15,21 @@
 // Otherwise a transient pool is spawned for this query and torn down at the
 // end, exactly as before.
 //
+// Three modes: non-DISTINCT counting, factorizing (the answer graph every
+// retained result is read from) and streaming.
+//
 // Determinism contract: for every combination of SELECT / DISTINCT / LIMIT
-// and counting vs materializing execution, the parallel mode returns rows
-// (and counts) BIT-IDENTICAL to serial execution. Serial enumeration visits
-// root candidates in CandInit order, so concatenating per-chunk results in
-// chunk order reproduces the serial row order exactly; DISTINCT replays the
-// chunks through one ordered global dedup; LIMIT takes the ordered prefix.
-// A shared row budget provides early cutoff without breaking the contract:
-// a chunk may only be skipped or stopped when chunks strictly *before* it
-// have already produced the full row cap (their rows shadow everything this
-// chunk could contribute). The only nondeterministic case is a timeout —
-// exactly as in serial execution, a timed-out query reports partial
-// results and stats.timed_out.
+// and every mode, the parallel mode returns rows (and counts)
+// BIT-IDENTICAL to serial execution. Serial enumeration visits root
+// candidates in CandInit order, so concatenating per-chunk results in
+// chunk order reproduces the serial row order exactly; DISTINCT replays
+// the chunks through one ordered global dedup; LIMIT takes the ordered
+// prefix. A shared row budget provides early cutoff without breaking the
+// contract: a chunk may only be skipped or stopped when chunks strictly
+// *before* it have already produced the full row cap (their rows shadow
+// everything this chunk could contribute). The only nondeterministic case
+// is a timeout — exactly as in serial execution, a timed-out query reports
+// partial results and stats.timed_out.
 
 #ifndef AMBER_CORE_PARALLEL_EXEC_H_
 #define AMBER_CORE_PARALLEL_EXEC_H_
@@ -90,12 +93,13 @@ struct ParallelFactorizeRequest {
 
 /// Runs the matcher across `options.num_threads` workers and merges
 /// deterministically. `cap` is the effective row cap (0 = unlimited).
-/// When `materialize_into` is non-null it receives the result rows in
-/// serial order; when `stream` is non-null rows are instead pushed into it
-/// incrementally; when `factorize` is non-null the result is retained as a
-/// factorized answer graph (at most one of the three may be set). Requires
-/// a satisfiable query with at least one component (the engine keeps
-/// ground-only queries on the serial path) and `options.num_threads > 1`.
+/// When `stream` is non-null rows are pushed into it incrementally, in
+/// serial order; when `factorize` is non-null the result is retained as a
+/// factorized answer graph; with neither, rows are counted — a mode only
+/// for non-DISTINCT queries (the engine counts DISTINCT through the answer
+/// graph). At most one of the two may be set. Requires a satisfiable query
+/// with at least one component (the engine keeps ground-only queries on
+/// the serial path) and `options.num_threads > 1`.
 ///
 /// Cancellation: ExecOptions::cancel is observed at chunk claiming (chunks
 /// not yet claimed are never started) and inside every chunk Run; a
@@ -108,9 +112,7 @@ struct ParallelFactorizeRequest {
 Result<ParallelRunResult> RunMatcherParallel(
     const Multigraph& g, const IndexSet& indexes, const QueryGraph& q,
     const QueryPlan& plan, const ExecOptions& options, uint64_t cap,
-    ExecStats* stats,
-    std::vector<std::vector<VertexId>>* materialize_into,
-    ParallelStreamSink* stream = nullptr,
+    ExecStats* stats, ParallelStreamSink* stream = nullptr,
     ParallelFactorizeRequest* factorize = nullptr);
 
 }  // namespace amber

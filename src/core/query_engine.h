@@ -100,11 +100,10 @@ class QueryEngine {
 
   /// Executes the query and retains the result in factorized form (see
   /// docs/ARCHITECTURE.md, "Factorized answer graphs") instead of
-  /// expanding rows. `options.result_form` selects the representation:
-  /// under kFlat (or kAuto on a satellite-free plan) each row becomes a
-  /// singleton group, so the call succeeds for every form. The base
-  /// implementation returns kUnimplemented — callers fall back to
-  /// Materialize; AMbER overrides it.
+  /// expanding rows: each group is a core embedding times its projected
+  /// satellites' candidate lists, and a plan without satellites yields one
+  /// row per group. The base implementation returns kUnimplemented —
+  /// callers fall back to Materialize; AMbER overrides it.
   virtual Result<FactorizedRows> Factorize(const SelectQuery& query,
                                            const ExecOptions& options);
 

@@ -426,8 +426,11 @@ void HttpServer::ServeConnection(uint64_t conn_id, int fd) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     conns_.erase(conn_id);
+    // Notify under the lock: once Stop() sees conns_ empty the server may
+    // be destroyed, so this pool thread must not touch conn_cv_ after
+    // releasing mu_.
+    conn_cv_.notify_all();
   }
-  conn_cv_.notify_all();
   // Erase-then-close: Stop() only ever shutdown()s fds still registered,
   // so a recycled descriptor number can never be hit by mistake.
   ::close(fd);

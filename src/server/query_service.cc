@@ -584,21 +584,16 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
       out->exec_stats = cr->stats;
       return Status::OK();
     }
-    // A want_groups request upgrades a flat-configured service to kAuto
-    // for ITS execution: the factorized handle it needs gets retained
-    // (and cached) without changing what other requests run under.
-    const ResultForm form =
-        options_.result_form != ResultForm::kFlat
-            ? options_.result_form
-            : (request.want_groups ? ResultForm::kAuto : ResultForm::kFlat);
-    if (form != ResultForm::kFlat) {
-      // Retain the factorized answer graph instead of expanded rows.
+    // A want_groups request retains the answer graph even on a
+    // flat-configured service: the factorized handle it needs gets cached
+    // without changing what other requests retain.
+    if (options_.result_form == ResultForm::kFactorized ||
+        request.want_groups) {
+      // Retain the factorized answer graph instead of translated rows.
       // Engines that cannot factorize (the baselines) report
       // kUnimplemented ONCE and this service instance could pin that,
       // but the probe is cheap — fall through to the flat handle.
-      ExecOptions fexec = exec;
-      fexec.result_form = form;
-      Result<FactorizedRows> fr = engine_->Factorize(nq.query, fexec);
+      Result<FactorizedRows> fr = engine_->Factorize(nq.query, exec);
       if (fr.ok()) {
         out->have_fact = true;
         out->var_names = std::move(fr->var_names);
@@ -912,14 +907,8 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
   AMBER_RETURN_IF_ERROR(
       FaultInjector::Global().Inject(faults::kServiceExecute));
 
-  const ResultForm stream_form =
-      options_.result_form != ResultForm::kFlat
-          ? options_.result_form
-          : (request.want_groups ? ResultForm::kAuto : ResultForm::kFlat);
-  if (stream_form != ResultForm::kFlat) {
-    ExecOptions fexec = exec;
-    fexec.result_form = stream_form;
-    Result<FactorizedRows> fr = engine_->Factorize(nq.query, fexec);
+  if (options_.result_form == ResultForm::kFactorized || request.want_groups) {
+    Result<FactorizedRows> fr = engine_->Factorize(nq.query, exec);
     if (!fr.ok() && !fr.status().IsUnimplemented()) return fr.status();
     if (fr.ok()) {
       // Stream by expanding the factorized handle: the offset is

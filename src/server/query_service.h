@@ -90,6 +90,17 @@
 
 namespace amber {
 
+/// How the result cache retains a materialized result (docs/ARCHITECTURE.md,
+/// "Factorized answer graphs"). The engine builds the answer graph either
+/// way; this picks what the cache keeps of it.
+enum class ResultForm : uint8_t {
+  /// Translated rows: pages are slices of cached tokens.
+  kFlat,
+  /// The answer graph itself: charged at its factorized byte size, counted
+  /// without expansion, expanded only for the rows a page returns.
+  kFactorized,
+};
+
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
   /// Worker threads in the persistent pool (helpers for multi-threaded
@@ -167,14 +178,13 @@ struct ServiceOptions {
   /// cardinality. 0 = rows bound only.
   uint64_t stream_buffer_bytes = 256 << 10;  // 256 KiB
 
-  /// Result representation requested from the engine (core/exec.h). Under
-  /// kFactorized / kAuto, materializing executions retain the FACTORIZED
-  /// answer graph instead of expanded rows: the cache charges the handle
-  /// at its (much smaller) factorized byte size, counts are answered
-  /// without expansion, and pages expand only the rows they return (a
-  /// deep-OFFSET page skips whole groups instead of re-enumerating its
-  /// prefix). Engines that cannot factorize fall back to flat handles
-  /// transparently. Responses are bit-identical either way.
+  /// What materializing executions retain. Under kFactorized the cache
+  /// keeps the FACTORIZED answer graph instead of translated rows: the
+  /// handle is charged at its (much smaller) factorized byte size, counts
+  /// are answered without expansion, and pages expand only the rows they
+  /// return (a deep-OFFSET page skips whole groups instead of
+  /// re-enumerating its prefix). Engines that cannot factorize fall back
+  /// to flat handles transparently. Responses are bit-identical either way.
   ResultForm result_form = ResultForm::kFlat;
 };
 

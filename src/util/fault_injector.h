@@ -43,7 +43,8 @@ namespace amber {
 namespace faults {
 /// QueryService::Query, before each execution attempt (retried).
 inline constexpr const char kServiceExecute[] = "service.execute";
-/// AmberEngine::Execute, before planning/matching.
+/// Each public AmberEngine query call (Count, Materialize, Stream,
+/// Factorize), once, before planning/matching.
 inline constexpr const char kEngineExecute[] = "engine.execute";
 /// parallel_exec worker, before each claimed chunk runs.
 inline constexpr const char kParallelChunk[] = "parallel.chunk";

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/amber_engine.h"
 #include "rdf/term.h"
+#include "sparql/parser.h"
 #include "test_util.h"
 #include "util/cancellation.h"
 
@@ -269,6 +271,58 @@ TEST(CancellationMatcherTest, ParallelMidStreamCancelStopsEarly) {
   EXPECT_TRUE(out->stats.cancelled);
   EXPECT_GE(out->rows, 1u);
   EXPECT_LT(out->rows, 500u);  // stopped well before the full result
+}
+
+TEST(CancellationMatcherTest, ParallelMidStreamCancelDeliversAPrefix) {
+  // Two 100-row components: every root candidate of the first yields 100
+  // rows. The sink is slow until it trips the token, so later chunks are
+  // buffered (often finished) while the head chunk is still producing. A
+  // chunk cut short must stop the stream, never let the head advance past
+  // its missing rows to a later chunk's buffered ones.
+  AmberEngine engine = MustBuild(CycleData(100));
+  constexpr char kCrossQuery[] =
+      "SELECT ?a ?b ?c ?d WHERE { ?a <urn:p0> ?b . ?c <urn:p0> ?d . }";
+  auto parsed = SparqlParser::Parse(kCrossQuery);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const std::vector<std::vector<std::string>> want =
+      testutil::StreamedRows(engine, *parsed);
+  ASSERT_EQ(want.size(), 100u * 100u);
+
+  struct TrippingSink : RowSink {
+    CancellationSource* source;
+    uint64_t trip_at;
+    std::vector<std::vector<std::string>> rows;
+    bool OnRow(std::span<const std::string> row) override {
+      rows.emplace_back(row.begin(), row.end());
+      if (rows.size() < trip_at) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      } else if (rows.size() == trip_at) {
+        source->Cancel();
+      }
+      return true;  // only the token acts
+    }
+  };
+  for (uint64_t trip_at : {1u, 50u, 150u, 420u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE("trip_at=" + std::to_string(trip_at));
+      CancellationSource source;
+      ExecOptions options;
+      options.num_threads = 4;
+      options.cancel = source.token();
+      TrippingSink sink;
+      sink.source = &source;
+      sink.trip_at = trip_at;
+      auto out = engine.Stream(*parsed, options, &sink);
+      ASSERT_TRUE(out.ok()) << out.status();
+      // A trip that lands after every chunk finished producing finds a
+      // complete stream; anything earlier reports the cancellation.
+      if (!out->stats.cancelled) EXPECT_EQ(sink.rows.size(), want.size());
+      ASSERT_LE(sink.rows.size(), want.size());
+      for (size_t i = 0; i < sink.rows.size(); ++i) {
+        ASSERT_EQ(sink.rows[i], want[i]) << "prefix diverged at row " << i;
+      }
+    }
+  }
 }
 
 TEST(CancellationMatcherTest, CancelledRunNeverPoisonsLaterRuns) {

@@ -359,11 +359,11 @@ TEST(CrossEngineStarTest, StarQueriesAgree) {
 }
 
 // Factorized differential: both engine origins (fresh build, mmap'ed AMF)
-// × serial/parallel × result form (flat, factorized, auto) must
-// materialize the exact same row vectors — order included — and the
-// factorized handles must agree on totals. DISTINCT and
-// tight LIMIT/OFFSET queries ride along because they exercise the
-// group-dedup fallback and the truncation bookkeeping.
+// × serial/parallel must materialize the exact row vectors — order
+// included — that a serial Stream (the flat odometer) delivers, and the
+// factorized handles must agree on totals. DISTINCT and tight
+// LIMIT/OFFSET queries ride along because they exercise the group-dedup
+// fallback and the truncation bookkeeping.
 TEST(CrossEngineFactorizedTest, ArtifactsAgreeAcrossResultForms) {
   auto data = testutil::RandomDataset(77, 14, 70, 3);
   auto fresh = AmberEngine::Build(data);
@@ -395,46 +395,37 @@ TEST(CrossEngineFactorizedTest, ArtifactsAgreeAcrossResultForms) {
     auto parsed = SparqlParser::Parse(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
 
-    // Reference: fresh engine, serial, flat.
-    auto want = fresh->Materialize(*parsed, {});
-    ASSERT_TRUE(want.ok());
+    // Reference: fresh engine, serial Stream.
+    const std::vector<std::vector<std::string>> want =
+        testutil::StreamedRows(*fresh, *parsed);
 
     for (const EngineUnderTest& e : engines) {
       for (int threads : {1, 3}) {
-        for (ResultForm form :
-             {ResultForm::kFlat, ResultForm::kFactorized, ResultForm::kAuto}) {
-          ExecOptions opts;
-          opts.num_threads = threads;
-          opts.result_form = form;
-          auto got = e.engine->Materialize(*parsed, opts);
-          ASSERT_TRUE(got.ok());
-          EXPECT_EQ(got->rows, want->rows)
-              << e.label << " threads=" << threads
-              << " form=" << static_cast<int>(form);
-        }
-
         ExecOptions fopts;
         fopts.num_threads = threads;
-        fopts.result_form = ResultForm::kFactorized;
+        auto got = e.engine->Materialize(*parsed, fopts);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->rows, want) << e.label << " threads=" << threads;
+
         auto fact = e.engine->Factorize(*parsed, fopts);
         ASSERT_TRUE(fact.ok()) << fact.status();
         const uint64_t cap = EffectiveRowCap(*parsed, fopts);
         const uint64_t want_total =
             cap == 0
-                ? want->rows.size()
-                : std::min<uint64_t>(want->rows.size(), fact->result.total_rows);
+                ? want.size()
+                : std::min<uint64_t>(want.size(), fact->result.total_rows);
         std::vector<std::vector<std::string>> expanded;
         FactorizedResult::Cursor cur = fact->result.Expand();
-        while (expanded.size() < want->rows.size() && cur.Next()) {
+        while (expanded.size() < want.size() && cur.Next()) {
           expanded.push_back(e.engine->TranslateRow(cur.Row()));
         }
         ASSERT_GE(fact->result.total_rows, want_total) << e.label;
         EXPECT_EQ(expanded,
                   std::vector<std::vector<std::string>>(
-                      want->rows.begin(), want->rows.begin() + expanded.size()))
+                      want.begin(), want.begin() + expanded.size()))
             << e.label << " threads=" << threads;
         EXPECT_GE(expanded.size(),
-                  std::min<uint64_t>(want->rows.size(),
+                  std::min<uint64_t>(want.size(),
                                      fact->result.total_rows))
             << e.label;
       }

@@ -1,8 +1,8 @@
 // Factorized answer graphs (core/factorized.h): representation units —
-// builder totals, DISTINCT collision fallback, cursor order and Skip
-// arithmetic — plus engine-level differential checks that the factorized
-// result form counts, paginates and expands bit-identically to the flat
-// row pipeline, serially and in parallel.
+// builder totals, DISTINCT duplicate dropping and collision fallback,
+// cursor order and Skip arithmetic — plus engine-level differential checks
+// that the answer graph counts, paginates and expands bit-identically to
+// Stream, the flat odometer, serially and in parallel.
 
 #include "core/factorized.h"
 
@@ -170,6 +170,27 @@ TEST(FactorizedResultTest, DistinctCollisionKeepsExactTotals) {
   EXPECT_EQ(cur.Row()[1], 7u);
 }
 
+TEST(FactorizedResultTest, DistinctDropsDuplicateAllCoreGroups) {
+  // No projected slot is a satellite (two corners of a 4-cycle, say): a
+  // group is its key, so a colliding group is an identical row and is
+  // dropped instead of flagging both groups for row-level dedup.
+  FactorizedBuilder builder(2, {kNoGroupList, kNoGroupList},
+                            /*distinct=*/true, /*cap=*/0);
+  const std::vector<std::vector<VertexId>> keys = {
+      {1, 2}, {3, 4}, {1, 2}, {5, 6}, {3, 4}};
+  for (const std::vector<VertexId>& key : keys) {
+    FactorizedResult::Group g;
+    g.fixed = key;
+    EXPECT_TRUE(builder.Add(std::move(g)));
+  }
+  EXPECT_EQ(builder.rows_expanded(), 0u);
+  FactorizedResult r = builder.Finish();
+  EXPECT_EQ(r.total_rows, 3u);
+  EXPECT_FALSE(r.needs_row_dedup);
+  const std::vector<std::vector<VertexId>> want = {{1, 2}, {3, 4}, {5, 6}};
+  EXPECT_EQ(AllRows(r), want);
+}
+
 TEST(FactorizedResultTest, BuildSlotListFirstAppearanceOrder) {
   const std::vector<uint32_t> projection = {0, 2, 1, 2};
   const std::vector<bool> is_core = {true, false, false};
@@ -239,9 +260,7 @@ TEST_F(FactorizedEngineTest, CountNeverTouchesTheOdometer) {
 
 TEST_F(FactorizedEngineTest, FactorizeCountsWithoutExpansion) {
   SelectQuery q = Parse(kTwoSatelliteQuery);
-  ExecOptions opts;
-  opts.result_form = ResultForm::kFactorized;
-  auto fact = engine_->Factorize(q, opts);
+  auto fact = engine_->Factorize(q, {});
   ASSERT_TRUE(fact.ok()) << fact.status();
   EXPECT_EQ(fact->result.total_rows, 4u * 7u * 5u);
   EXPECT_EQ(fact->result.groups.size(), 4u);
@@ -260,17 +279,14 @@ TEST_F(FactorizedEngineTest, MaterializeBitIdenticalAcrossForms) {
         "LIMIT 11"}) {
     SCOPED_TRACE(text);
     SelectQuery q = Parse(text);
-    auto flat = engine_->Materialize(q, {});
-    ASSERT_TRUE(flat.ok());
-    for (ResultForm form : {ResultForm::kFactorized, ResultForm::kAuto}) {
-      ExecOptions opts;
-      opts.result_form = form;
-      auto got = engine_->Materialize(q, opts);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got->rows, flat->rows);  // exact order, not canonical
-      EXPECT_EQ(got->stats.rows, flat->stats.rows);
-      EXPECT_EQ(got->stats.truncated, flat->stats.truncated);
-    }
+    StreamResult flat;
+    const std::vector<std::vector<std::string>> want =
+        testutil::StreamedRows(*engine_, q, {}, &flat);
+    auto got = engine_->Materialize(q, {});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->rows, want);  // exact order, not canonical
+    EXPECT_EQ(got->stats.rows, flat.stats.rows);
+    EXPECT_EQ(got->stats.truncated, flat.stats.truncated);
   }
 }
 
@@ -279,9 +295,7 @@ TEST_F(FactorizedEngineTest, ExpandedCursorMatchesMaterialize) {
   auto flat = engine_->Materialize(q, {});
   ASSERT_TRUE(flat.ok());
 
-  ExecOptions opts;
-  opts.result_form = ResultForm::kFactorized;
-  auto fact = engine_->Factorize(q, opts);
+  auto fact = engine_->Factorize(q, {});
   ASSERT_TRUE(fact.ok());
   EXPECT_EQ(fact->var_names, flat->var_names);
 
@@ -301,9 +315,7 @@ TEST_F(FactorizedEngineTest, DeepOffsetPageExpandsOnlyTheBoundary) {
   const uint64_t total = flat->rows.size();
   ASSERT_GT(total, 20u);
 
-  ExecOptions opts;
-  opts.result_form = ResultForm::kFactorized;
-  auto fact = engine_->Factorize(q, opts);
+  auto fact = engine_->Factorize(q, {});
   ASSERT_TRUE(fact.ok());
 
   uint64_t max_group_card = 0;
@@ -340,8 +352,7 @@ TEST_F(FactorizedEngineTest, ParallelFactorizedMatchesSerial) {
     SCOPED_TRACE(text);
     SelectQuery q = Parse(text);
     ExecOptions serial;
-    serial.result_form = ResultForm::kFactorized;
-    ExecOptions par = serial;
+    ExecOptions par;
     par.num_threads = 3;
 
     auto sf = engine_->Factorize(q, serial);
@@ -360,26 +371,10 @@ TEST_F(FactorizedEngineTest, ParallelFactorizedMatchesSerial) {
   }
 }
 
-TEST_F(FactorizedEngineTest, FlatFormWrapsSingletonGroups) {
-  SelectQuery q = Parse("SELECT ?a ?c WHERE { ?c <urn:p0> ?a . }");
-  auto flat = engine_->Materialize(q, {});
-  ASSERT_TRUE(flat.ok());
-  auto fact = engine_->Factorize(q, {});  // default kFlat
-  ASSERT_TRUE(fact.ok());
-  EXPECT_EQ(fact->result.groups.size(), flat->rows.size());
-  EXPECT_EQ(fact->result.total_rows, flat->rows.size());
-  std::vector<std::vector<std::string>> expanded;
-  FactorizedResult::Cursor cur = fact->result.Expand();
-  while (cur.Next()) expanded.push_back(engine_->TranslateRow(cur.Row()));
-  EXPECT_EQ(expanded, flat->rows);
-}
-
 TEST_F(FactorizedEngineTest, EmptyResultFactorizes) {
   SelectQuery q =
       Parse("SELECT ?x ?y WHERE { ?x <urn:nosuch> ?y . }");
-  ExecOptions opts;
-  opts.result_form = ResultForm::kFactorized;
-  auto fact = engine_->Factorize(q, opts);
+  auto fact = engine_->Factorize(q, {});
   ASSERT_TRUE(fact.ok());
   EXPECT_EQ(fact->result.total_rows, 0u);
   EXPECT_TRUE(fact->result.groups.empty());
@@ -390,11 +385,11 @@ TEST_F(FactorizedEngineTest, EmptyResultFactorizes) {
 TEST_F(FactorizedEngineTest, ExplainReportsResultForm) {
   SelectQuery q = Parse(kTwoSatelliteQuery);
   ExecOptions opts;
-  opts.result_form = ResultForm::kAuto;
   auto text = ExplainQuery(q, engine_->dictionaries(), &engine_->indexes(),
                            {}, &opts);
   ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("Result form: factorized (auto)"), std::string::npos)
+  EXPECT_NE(text->find("Result form: factorized (2 satellite vertices"),
+            std::string::npos)
       << *text;
 
   auto count = engine_->Count(q, {});
@@ -408,16 +403,21 @@ TEST_F(FactorizedEngineTest, ExplainReportsResultForm) {
   EXPECT_NE(with_stats->find("(never expanded)"), std::string::npos)
       << *with_stats;
 
-  ExecOptions flat;
-  auto flat_text = ExplainQuery(q, engine_->dictionaries(),
-                                &engine_->indexes(), {}, &flat);
-  ASSERT_TRUE(flat_text.ok());
-  EXPECT_NE(flat_text->find("Result form: flat"), std::string::npos);
+  // A triangle is all core: every group of its answer graph is one row.
+  SelectQuery triangle = Parse(
+      "SELECT ?a ?b ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p0> ?c . "
+      "?c <urn:p0> ?a . }");
+  auto core_text = ExplainQuery(triangle, engine_->dictionaries(),
+                                &engine_->indexes(), {}, &opts);
+  ASSERT_TRUE(core_text.ok());
+  EXPECT_NE(core_text->find("Result form: factorized (no satellites"),
+            std::string::npos)
+      << *core_text;
 }
 
-// Random differential sweep: flat vs factorized materialization must stay
-// bit-identical over random data/queries, serial and parallel, with and
-// without DISTINCT and caps.
+// Random differential sweep: Materialize (the answer graph) must stay
+// bit-identical to serial Stream (the flat odometer) over random
+// data/queries, serial and parallel, with and without caps.
 TEST(FactorizedDifferentialTest, RandomQueriesAgreeAcrossForms) {
   for (uint64_t seed : {41u, 42u, 43u}) {
     auto data = testutil::RandomDataset(seed, 12, 60, 3);
@@ -429,17 +429,16 @@ TEST(FactorizedDifferentialTest, RandomQueriesAgreeAcrossForms) {
       SCOPED_TRACE(text);
       auto parsed = SparqlParser::Parse(text);
       ASSERT_TRUE(parsed.ok());
-      auto flat = engine->Materialize(*parsed, {});
-      ASSERT_TRUE(flat.ok());
+      const std::vector<std::vector<std::string>> flat =
+          testutil::StreamedRows(*engine, *parsed);
       for (int threads : {1, 2}) {
         for (uint64_t cap : {uint64_t{0}, uint64_t{3}}) {
           ExecOptions opts;
-          opts.result_form = ResultForm::kFactorized;
           opts.num_threads = threads;
           opts.max_rows = cap;
           auto got = engine->Materialize(*parsed, opts);
           ASSERT_TRUE(got.ok());
-          std::vector<std::vector<std::string>> want = flat->rows;
+          std::vector<std::vector<std::string>> want = flat;
           if (cap != 0 && want.size() > cap) want.resize(cap);
           EXPECT_EQ(got->rows, want)
               << "threads=" << threads << " cap=" << cap;

@@ -3,10 +3,11 @@
 // materializing) and both engine origins (fresh build, mmap OpenFile),
 // serial and 2/4/8-thread execution must return
 // BIT-IDENTICAL result rows — same rows, same order — and identical
-// counts. Also pins the parallel ExecStats contract (threads_used /
-// tasks_dispatched, counter aggregation) and edge cases (empty results,
-// single root candidate, multi-component cross products, ground-only
-// queries).
+// counts. Materialize reads the answer graph, so every shape is checked
+// against serial Stream, the flat odometer. Also pins the parallel
+// ExecStats contract (threads_used / tasks_dispatched, counter
+// aggregation) and edge cases (empty results, single root candidate,
+// multi-component cross products, ground-only queries).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -30,32 +31,36 @@ AmberEngine MustBuild(const std::vector<Triple>& data) {
   return std::move(engine).value();
 }
 
-/// Runs `text` serially and at 2/4/8 threads and asserts bit-identical
-/// materialized rows (order included) plus matching counts.
+/// Runs `text` serially and at 2/4/8 threads and asserts materialized rows
+/// bit-identical (order included) to the serial stream — the flat
+/// odometer, independent of the answer graph Materialize expands — plus
+/// counts that match the row count.
 void CheckDeterminism(AmberEngine& engine, const std::string& text,
                       const ExecOptions& base = {}) {
   SCOPED_TRACE("query:\n" + text);
+  auto parsed = SparqlParser::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExecOptions serial = base;
   serial.num_threads = 1;
-  auto want = engine.MaterializeSparql(text, serial);
-  ASSERT_TRUE(want.ok()) << want.status();
-  auto want_count = engine.CountSparql(text, serial);
-  ASSERT_TRUE(want_count.ok());
+  StreamResult stream;
+  const std::vector<std::vector<std::string>> want =
+      testutil::StreamedRows(engine, *parsed, serial, &stream);
 
-  for (int threads : {2, 4, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExecOptions parallel = base;
-    parallel.num_threads = threads;
-    auto got = engine.MaterializeSparql(text, parallel);
+    ExecOptions options = base;
+    options.num_threads = threads;
+    auto got = engine.Materialize(*parsed, options);
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->var_names, want->var_names);
-    // Exact vector equality: rows AND their order must match serial.
-    EXPECT_EQ(got->rows, want->rows) << "rows differ from serial";
-    EXPECT_EQ(got->stats.truncated, want->stats.truncated);
+    EXPECT_EQ(got->var_names, stream.var_names);
+    // Exact vector equality: rows AND their order must match the stream.
+    EXPECT_EQ(got->rows, want) << "rows differ from serial Stream";
+    EXPECT_EQ(got->stats.truncated, stream.stats.truncated);
 
-    auto count = engine.CountSparql(text, parallel);
+    auto count = engine.Count(*parsed, options);
     ASSERT_TRUE(count.ok());
-    EXPECT_EQ(count->count, want_count->count);
+    EXPECT_EQ(count->count, want.size());
+    EXPECT_EQ(count->stats.truncated, stream.stats.truncated);
   }
 }
 

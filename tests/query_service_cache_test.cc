@@ -13,6 +13,7 @@
 
 #include "core/amber_engine.h"
 #include "server/query_service.h"
+#include "server/wire.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 
@@ -523,7 +524,7 @@ TEST(QueryServiceCacheTest, FactorizedHandleServesDeepOffsetPages) {
 
   ServiceOptions options;
   options.cache_entries = 8;
-  options.result_form = ResultForm::kAuto;
+  options.result_form = ResultForm::kFactorized;
   QueryService service(&engine, options);
 
   // Miss: the execution retains the factorized handle; the first page
@@ -592,9 +593,7 @@ TEST(QueryServiceCacheTest, FactorizedEntriesChargedAtGroupStorageSize) {
   // overhead shared with flat entries).
   auto parsed = SparqlParser::Parse(kFanoutQuery);
   ASSERT_TRUE(parsed.ok());
-  ExecOptions fexec;
-  fexec.result_form = ResultForm::kFactorized;
-  auto fact = engine.Factorize(*parsed, fexec);
+  auto fact = engine.Factorize(*parsed, {});
   ASSERT_TRUE(fact.ok());
   EXPECT_GE(fact_bytes, fact->result.ByteSize());
 }
@@ -607,7 +606,7 @@ TEST(QueryServiceCacheTest, FactorizedResponsesDifferentiallyIdentical) {
   flat_opts.cache_entries = 32;
   QueryService flat_service(&engine, flat_opts);
   ServiceOptions fact_opts = flat_opts;
-  fact_opts.result_form = ResultForm::kAuto;
+  fact_opts.result_form = ResultForm::kFactorized;
   QueryService fact_service(&engine, fact_opts);
 
   std::vector<std::string> texts;
@@ -636,6 +635,42 @@ TEST(QueryServiceCacheTest, FactorizedResponsesDifferentiallyIdentical) {
       EXPECT_EQ(hit->var_names, want->var_names) << text;
     }
   }
+}
+
+// A DISTINCT query whose projected variables are all core (two corners of
+// a 4-cycle) collides on exact duplicate rows. The answer graph drops the
+// duplicate groups instead of flagging them for row-level dedup, so a
+// flat-configured service still grants want_groups, and the groups expand
+// to the rows a rows-mode request returns.
+TEST(QueryServiceCacheTest, WantGroupsShipsGroupsForAllCoreDistinct) {
+  auto iri = [](const std::string& s) { return Term::Iri("urn:" + s); };
+  std::vector<Triple> data;
+  for (const char* b : {"b0", "b1"}) {  // two a0-b-c0 paths: one row twice
+    data.emplace_back(iri("a0"), iri("p0"), iri(b));
+    data.emplace_back(iri(b), iri("p1"), iri("c0"));
+  }
+  data.emplace_back(iri("c0"), iri("p2"), iri("d0"));
+  data.emplace_back(iri("d0"), iri("p3"), iri("a0"));
+  AmberEngine engine = MustBuild(data);
+  const std::string text =
+      "SELECT DISTINCT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . "
+      "?c <urn:p2> ?d . ?d <urn:p3> ?a . }";
+
+  QueryService service(&engine, ServiceOptions{});
+  RequestOptions groups;
+  groups.want_groups = true;
+  groups.bypass_cache = true;
+  auto got = service.Query(text, groups);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(got->groups_form);
+  EXPECT_EQ(got->total_rows, 1u);
+
+  RequestOptions rows;
+  rows.bypass_cache = true;
+  auto want = service.Query(text, rows);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(want->rows.size(), 1u);
+  EXPECT_EQ(wire::ExpandGroups(got->slot_list, got->groups), want->rows);
 }
 
 }  // namespace

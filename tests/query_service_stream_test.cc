@@ -436,7 +436,7 @@ TEST_F(QueryServiceStreamTest, FactorizedStreamMatchesFlatStream) {
   flat_opts.stream_page_rows = 3;
   QueryService flat_service(engine_, flat_opts);
   ServiceOptions fact_opts = flat_opts;
-  fact_opts.result_form = ResultForm::kAuto;
+  fact_opts.result_form = ResultForm::kFactorized;
   QueryService fact_service(engine_, fact_opts);
 
   std::vector<std::string> texts;

@@ -15,9 +15,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/query_engine.h"
 #include "rdf/literal_value.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -103,6 +105,26 @@ inline std::vector<uint32_t> CanonicalIds(std::vector<uint32_t> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
+}
+
+/// The rows `engine` streams for `query`, in delivery order. AMbER streams
+/// through the flat odometer with row-level DISTINCT, never through the
+/// answer graph, so these are the independent exact-order reference for
+/// Materialize. `result`, when non-null, receives the stream's tail.
+inline std::vector<std::vector<std::string>> StreamedRows(
+    QueryEngine& engine, const SelectQuery& query,
+    const ExecOptions& options = {}, StreamResult* result = nullptr) {
+  struct Collect : RowSink {
+    std::vector<std::vector<std::string>> rows;
+    bool OnRow(std::span<const std::string> row) override {
+      rows.emplace_back(row.begin(), row.end());
+      return true;
+    }
+  } sink;
+  auto streamed = engine.Stream(query, options, &sink);
+  EXPECT_TRUE(streamed.ok()) << streamed.status();
+  if (result != nullptr && streamed.ok()) *result = std::move(*streamed);
+  return std::move(sink.rows);
 }
 
 /// \brief Term-level brute-force evaluator of the paper's query model.
