@@ -666,7 +666,7 @@ Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
   deadline_ = control.deadline.has_value()
                   ? *control.deadline
                   : Deadline::After(options_.timeout);
-  cancel_ = control.cancel.has_value() ? *control.cancel : options_.cancel;
+  cancel_ = options_.cancel;
   deadline_tick_ = 0;
   pending_ = InterruptKind::kNone;
 

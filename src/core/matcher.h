@@ -182,10 +182,6 @@ class Matcher {
     /// The parallel mode evaluates it once on the root matcher instead of
     /// once per chunk, keeping predicate_checks equal to serial.
     bool skip_ground_checks = false;
-
-    /// When set, overrides ExecOptions::cancel for this Run (the serving
-    /// layer reuses one matcher under per-request tokens).
-    std::optional<CancellationToken> cancel;
   };
 
   /// Why a long scan or recursion was cut short. Run() consumes interrupts

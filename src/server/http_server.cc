@@ -444,69 +444,40 @@ bool HttpServer::ServeOneRequest(uint64_t conn_id, int fd,
   // --- Read the header block (pipelined bytes may already be buffered).
   size_t header_end;
   while ((header_end = rbuf->find("\r\n\r\n")) == std::string::npos) {
-    if (rbuf->size() > options_.max_header_bytes) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.bad_requests;
-      }
-      WriteResponse(fd, 431,
-                    ErrorBody(431, "ResourceExhausted",
-                              "header block exceeds max_header_bytes"),
-                    /*keep_alive=*/false);
-      return false;
-    }
+    if (rbuf->size() > options_.max_header_bytes) break;
     // Idle close, read timeout, peer error, or Stop(): close quietly.
     if (!ReadMore(fd, rbuf, deadline)) return false;
   }
-  // The bound holds even when the whole oversized head lands in one read.
-  if (header_end > options_.max_header_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    WriteResponse(fd, 431,
-                  ErrorBody(431, "ResourceExhausted",
-                            "header block exceeds max_header_bytes"),
-                  /*keep_alive=*/false);
-    return false;
+  // Oversized: no blank line within the bound, or one past it (the whole
+  // oversized head can land in one read).
+  if (header_end == std::string::npos ||
+      header_end > options_.max_header_bytes) {
+    return BadRequest(fd, 431,
+                      ErrorBody(431, "ResourceExhausted",
+                                "header block exceeds max_header_bytes"),
+                      /*keep_alive=*/false);
   }
 
   HttpRequest req;
   if (!ParseRequestHead(std::string_view(*rbuf).substr(0, header_end),
                         &req)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    WriteResponse(fd, 400,
-                  ErrorBody(400, "InvalidArgument", "malformed request head"),
-                  /*keep_alive=*/false);
-    return false;
+    return BadRequest(
+        fd, 400, ErrorBody(400, "InvalidArgument", "malformed request head"),
+        /*keep_alive=*/false);
   }
 
   // --- Framing: explicit lengths only; bounded body.
   if (req.version != "HTTP/1.1" && req.version != "HTTP/1.0") {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    WriteResponse(
-        fd, 505,
-        ErrorBody(505, "InvalidArgument", "unsupported HTTP version"),
+    return BadRequest(
+        fd, 505, ErrorBody(505, "InvalidArgument", "unsupported HTTP version"),
         /*keep_alive=*/false);
-    return false;
   }
   if (FindHeader(req, "transfer-encoding") != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    WriteResponse(fd, 411,
-                  ErrorBody(411, "InvalidArgument",
-                            "chunked request bodies are not supported; "
-                            "send Content-Length"),
-                  /*keep_alive=*/false);
-    return false;
+    return BadRequest(fd, 411,
+                      ErrorBody(411, "InvalidArgument",
+                                "chunked request bodies are not supported; "
+                                "send Content-Length"),
+                      /*keep_alive=*/false);
   }
   uint64_t content_length = 0;
   if (const std::string* cl = FindHeader(req, "content-length")) {
@@ -514,26 +485,16 @@ bool HttpServer::ServeOneRequest(uint64_t conn_id, int fd,
     const char* end = begin + cl->size();
     auto [ptr, ec] = std::from_chars(begin, end, content_length);
     if (cl->empty() || ec != std::errc() || ptr != end) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.bad_requests;
-      }
-      WriteResponse(fd, 400,
-                    ErrorBody(400, "InvalidArgument", "bad Content-Length"),
-                    /*keep_alive=*/false);
-      return false;
+      return BadRequest(
+          fd, 400, ErrorBody(400, "InvalidArgument", "bad Content-Length"),
+          /*keep_alive=*/false);
     }
   }
   if (content_length > options_.max_request_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    WriteResponse(fd, 413,
-                  ErrorBody(413, "ResourceExhausted",
-                            "request body exceeds max_request_bytes"),
-                  /*keep_alive=*/false);
-    return false;
+    return BadRequest(fd, 413,
+                      ErrorBody(413, "ResourceExhausted",
+                                "request body exceeds max_request_bytes"),
+                      /*keep_alive=*/false);
   }
 
   bool keep_alive = req.version == "HTTP/1.1";
@@ -598,43 +559,27 @@ bool HttpServer::ServeOneRequest(uint64_t conn_id, int fd,
   }
   if (req.path == "/query" || req.path == "/query/stream") {
     if (req.method != "POST") {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.bad_requests;
-      }
-      return WriteResponse(fd, 405,
-                           ErrorBody(405, "InvalidArgument",
-                                     "use POST on this route"),
-                           keep_alive) &&
-             keep_alive;
+      return BadRequest(
+          fd, 405,
+          ErrorBody(405, "InvalidArgument", "use POST on this route"),
+          keep_alive);
     }
-    return req.path == "/query"
-               ? HandleQuery(conn_id, fd, req.body, keep_alive)
-               : HandleQueryStream(conn_id, fd, req.body, keep_alive);
+    return HandleQuery(conn_id, fd, req.body, keep_alive,
+                       /*stream=*/req.path == "/query/stream");
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.bad_requests;
-  }
-  return WriteResponse(fd, 404,
-                       wire::SerializeError(Status::NotFound(
-                           "no such endpoint: " + req.path)),
-                       keep_alive) &&
-         keep_alive;
+  return BadRequest(
+      fd, 404,
+      wire::SerializeError(Status::NotFound("no such endpoint: " + req.path)),
+      keep_alive);
 }
 
 bool HttpServer::HandleQuery(uint64_t conn_id, int fd,
-                             const std::string& body, bool keep_alive) {
+                             const std::string& body, bool keep_alive,
+                             bool stream) {
   Result<wire::WireRequest> wr = wire::ParseRequest(body);
   if (!wr.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    return WriteResponse(fd, StatusCodeToHttp(wr.status().code()),
-                         wire::SerializeError(wr.status()), keep_alive) &&
-           keep_alive;
+    return BadRequest(fd, StatusCodeToHttp(wr.status().code()),
+                      wire::SerializeError(wr.status()), keep_alive);
   }
 
   // The request runs under a connection-scoped source (merging any token
@@ -647,100 +592,73 @@ bool HttpServer::HandleQuery(uint64_t conn_id, int fd,
     auto it = conns_.find(conn_id);
     if (it != conns_.end()) it->second.active_cancel = source;
   }
-  Result<QueryResponse> resp = service_->Query(wr->query, wr->options);
+  // The service answer serialized: the /query body, or the stream's
+  // summary line (its pages already left through `sink`).
+  StreamSink sink(this, fd);
+  Status status = Status::OK();
+  std::string answer;
+  bool complete = true;
+  if (stream) {
+    Result<StreamResponse> sr =
+        service_->QueryStream(wr->query, wr->options, &sink);
+    if (sr.ok()) {
+      answer = wire::SerializeStreamSummary(*sr, wr->include_stats);
+      complete = sr->complete;
+    } else {
+      status = sr.status();
+    }
+  } else {
+    Result<QueryResponse> resp = service_->Query(wr->query, wr->options);
+    if (resp.ok()) {
+      answer = wire::SerializeResponse(*resp, wr->include_stats);
+    } else {
+      status = resp.status();
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = conns_.find(conn_id);
     if (it != conns_.end()) it->second.active_cancel.reset();
   }
 
-  if (!resp.ok()) {
-    return WriteResponse(fd, StatusCodeToHttp(resp.status().code()),
-                         wire::SerializeError(resp.status()), keep_alive) &&
+  if (!status.ok()) {
+    // Mid-stream error after bytes already left: nothing clean to send.
+    if (sink.headers_sent()) return AbortResponse();
+    return WriteResponse(fd, StatusCodeToHttp(status.code()),
+                         wire::SerializeError(status), keep_alive) &&
            keep_alive;
   }
-  return WriteResponse(fd, 200,
-                       wire::SerializeResponse(*resp, wr->include_stats),
-                       keep_alive) &&
-         keep_alive;
+  if (!stream) return WriteResponse(fd, 200, answer, keep_alive) && keep_alive;
+  // The client went away (or server.write fired) mid-stream: the sink
+  // already tripped the execution via its false return.
+  if (sink.write_failed() || !sink.WriteChunk(answer)) return AbortResponse();
+  // Cancelled / timed out: the summary line carries the flags, but the
+  // chunked body stays unterminated — transports and clients both see an
+  // incomplete stream.
+  if (!complete) return false;
+  if (!WriteAll(fd, "0\r\n\r\n")) return AbortResponse();
+  return keep_alive;
 }
 
-bool HttpServer::HandleQueryStream(uint64_t conn_id, int fd,
-                                   const std::string& body,
-                                   bool keep_alive) {
-  Result<wire::WireRequest> wr = wire::ParseRequest(body);
-  if (!wr.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.bad_requests;
-    }
-    return WriteResponse(fd, StatusCodeToHttp(wr.status().code()),
-                         wire::SerializeError(wr.status()), keep_alive) &&
-           keep_alive;
-  }
-
-  CancellationSource source(wr->options.cancel);
-  wr->options.cancel = source.token();
+bool HttpServer::BadRequest(int fd, int code, std::string_view body,
+                            bool keep_alive) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = conns_.find(conn_id);
-    if (it != conns_.end()) it->second.active_cancel = source;
+    ++stats_.bad_requests;
   }
-  StreamSink sink(this, fd);
-  Result<StreamResponse> sr =
-      service_->QueryStream(wr->query, wr->options, &sink);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = conns_.find(conn_id);
-    if (it != conns_.end()) it->second.active_cancel.reset();
-  }
+  return WriteResponse(fd, code, body, keep_alive) && keep_alive;
+}
 
-  if (!sr.ok()) {
-    if (sink.headers_sent()) {
-      // Mid-stream error after bytes already left: nothing clean to send.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.aborted_responses;
-      return false;
-    }
-    return WriteResponse(fd, StatusCodeToHttp(sr.status().code()),
-                         wire::SerializeError(sr.status()), keep_alive) &&
-           keep_alive;
-  }
-  if (sink.write_failed()) {
-    // The client went away (or server.write fired) mid-stream; the sink
-    // already tripped the execution via its false return.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
-
-  const std::string summary =
-      wire::SerializeStreamSummary(*sr, wr->include_stats);
-  if (!sink.WriteChunk(summary)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
-  if (!sr->complete) {
-    // Cancelled / timed out: the summary line carries the flags, but the
-    // chunked body stays unterminated — transports and clients both see
-    // an incomplete stream.
-    return false;
-  }
-  if (!WriteAll(fd, "0\r\n\r\n")) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
-  return keep_alive;
+bool HttpServer::AbortResponse() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.aborted_responses;
+  return false;
 }
 
 bool HttpServer::WriteResponse(int fd, int code, std::string_view body,
                                bool keep_alive) {
   if (!FaultInjector::Global().Inject(faults::kServerWrite).ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
+    return AbortResponse();
   }
   std::string out;
   out.reserve(body.size() + 128);
@@ -753,12 +671,7 @@ bool HttpServer::WriteResponse(int fd, int code, std::string_view body,
   out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
                     : "\r\nConnection: close\r\n\r\n";
   out += body;
-  if (!WriteAll(fd, out)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
-  return true;
+  return WriteAll(fd, out) || AbortResponse();
 }
 
 bool HttpServer::ReadMore(int fd, std::string* buf,

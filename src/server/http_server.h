@@ -154,17 +154,23 @@ class HttpServer {
   /// One request/response exchange. Returns false when the connection
   /// must close (error framing, Connection: close, abort, stop).
   bool ServeOneRequest(uint64_t conn_id, int fd, std::string* rbuf);
-  /// POST /query and POST /query/stream (the service-backed routes).
-  /// Return the keep-the-connection verdict like ServeOneRequest.
+  /// POST /query (`stream` false) and POST /query/stream (`stream`
+  /// true), the service-backed routes. Returns the keep-the-connection
+  /// verdict like ServeOneRequest.
   bool HandleQuery(uint64_t conn_id, int fd, const std::string& body,
-                   bool keep_alive);
-  bool HandleQueryStream(uint64_t conn_id, int fd, const std::string& body,
-                         bool keep_alive);
+                   bool keep_alive, bool stream);
+
+  /// Answers a request rejected at the transport layer (framing, bounds,
+  /// route, method, wire parse): counts it in bad_requests and writes
+  /// `body` with `code`. Returns the keep-the-connection verdict.
+  bool BadRequest(int fd, int code, std::string_view body, bool keep_alive);
 
   /// Writes one buffered JSON response (passes the server.write fault
   /// site first). False = the connection aborted mid-write.
   bool WriteResponse(int fd, int code, std::string_view body,
                      bool keep_alive);
+  /// Counts a response abandoned mid-write; returns false (close).
+  bool AbortResponse();
 
   // Socket helpers (poll-sliced so Stop() interrupts promptly).
   bool ReadMore(int fd, std::string* buf,

@@ -1,6 +1,8 @@
 #include "server/query_service.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -22,6 +24,25 @@ std::chrono::milliseconds RemainingBudget(
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::milliseconds>(now - start);
   return budget - elapsed;
+}
+
+/// Maps canonical variable names back to the request's own spelling.
+std::vector<std::string> RequestVarNames(
+    const std::vector<std::string>& canon_names, const NormalizedQuery& nq) {
+  std::vector<std::string> out;
+  out.reserve(canon_names.size());
+  for (const std::string& canon : canon_names) {
+    auto it = nq.canon_to_orig.find(canon);
+    out.push_back(it != nq.canon_to_orig.end() ? it->second : canon);
+  }
+  return out;
+}
+
+/// Rows a factorized handle retains: its cardinality, clamped to the row
+/// cap it was built under.
+uint64_t RetainedRows(const FactorizedResult& fact) {
+  return fact.row_limit == 0 ? fact.total_rows
+                             : std::min(fact.total_rows, fact.row_limit);
 }
 
 }  // namespace
@@ -80,6 +101,7 @@ QueryService::Admission QueryService::Admit(
     return Admission::kAdmitted;
   }
   if (queued_ >= std::max(options_.max_queued, 0)) {
+    ++stats_.rejected;
     return Admission::kRejected;
   }
   ++queued_;
@@ -97,13 +119,45 @@ QueryService::Admission QueryService::Admit(
   }
   --queued_;
   if (!got_slot) {
-    // Budget expired while waiting. Wake the next waiter in case a slot
-    // freed concurrently with the timeout.
+    // Budget expired while waiting: an answered (timed-out) request. Wake
+    // the next waiter in case a slot freed concurrently with the timeout.
     admission_cv_.notify_one();
+    ++stats_.timed_out;
+    ++stats_.queries;
     return Admission::kExpired;
   }
   admit_locked();
   return Admission::kAdmitted;
+}
+
+Status QueryService::Saturated() const {
+  return Status::ResourceExhausted(
+      "query service saturated (max_in_flight=" +
+      std::to_string(options_.max_in_flight) +
+      ", max_queued=" + std::to_string(options_.max_queued) + ")");
+}
+
+ExecOptions QueryService::BuildExecOptions(const RequestOptions& request,
+                                           bool shed,
+                                           const CancellationSource& cancel) {
+  ExecOptions exec;
+  const int max_budget = options_.max_thread_budget > 0
+                             ? options_.max_thread_budget
+                             : options_.pool_threads + 1;
+  const int want = request.thread_budget > 0 ? request.thread_budget
+                                             : options_.default_thread_budget;
+  exec.num_threads = std::clamp(want, 1, max_budget);
+  const int shed_budget = std::max(options_.shed_thread_budget, 1);
+  if (shed && exec.num_threads > shed_budget) {
+    // Overload: degrade gracefully by shedding PARALLELISM, not the
+    // request — it still runs, on a reduced thread budget.
+    exec.num_threads = shed_budget;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.shed_thread_budgets;
+  }
+  if (options_.share_pool) exec.pool = &pool_;
+  exec.cancel = cancel.token();
+  return exec;
 }
 
 void QueryService::Release() {
@@ -290,16 +344,6 @@ ResultGroup QueryService::TranslateGroup(const FactorizedResult& fact,
   return out;
 }
 
-void QueryService::FillGroups(const FactorizedResult& fact,
-                              QueryResponse* resp) {
-  resp->groups_form = true;
-  resp->slot_list = fact.slot_list;
-  resp->groups.reserve(fact.groups.size());
-  for (const FactorizedResult::Group& g : fact.groups) {
-    resp->groups.push_back(TranslateGroup(fact, g));
-  }
-}
-
 QueryResponse QueryService::BuildResponse(const CacheEntry& entry,
                                           const NormalizedQuery& nq,
                                           const RequestOptions& request,
@@ -309,6 +353,8 @@ QueryResponse QueryService::BuildResponse(const CacheEntry& entry,
   resp.stats = entry.exec_stats;
   resp.timed_out = entry.exec_stats.timed_out;
   resp.cancelled = entry.exec_stats.cancelled;
+  // Whether the answer graph answered this request (factorized_hits).
+  bool from_fact = false;
   if (request.count_only) {
     // A complete (untruncated) handle is an exact count too — for a
     // factorized one the count is product-of-list-sizes arithmetic
@@ -319,65 +365,56 @@ QueryResponse QueryService::BuildResponse(const CacheEntry& entry,
       resp.total_rows = entry.rows.size();
     } else {
       resp.total_rows = entry.fact.total_rows;
+      from_fact = entry.have_fact;
     }
-    return resp;
-  }
-  resp.truncated = entry.truncated;
-  // Map the canonical variable spellings back to this request's own.
-  resp.var_names.reserve(entry.var_names.size());
-  for (const std::string& canon : entry.var_names) {
-    auto it = nq.canon_to_orig.find(canon);
-    resp.var_names.push_back(it != nq.canon_to_orig.end() ? it->second
-                                                          : canon);
-  }
-  if (request.want_groups && entry.have_fact &&
-      !entry.fact.needs_row_dedup) {
-    // Granted groups form: ship the factorized records themselves. A
-    // DISTINCT handle with colliding groups is excluded above — its
-    // expansion routes through a row-level dedup set no client could
-    // replay — and falls through to expanded rows instead.
-    const uint64_t retained =
-        entry.fact.row_limit == 0
-            ? entry.fact.total_rows
-            : std::min(entry.fact.total_rows, entry.fact.row_limit);
-    resp.total_rows = retained;
-    FillGroups(entry.fact, &resp);
-    return resp;
-  }
-  if (!entry.have_rows && entry.have_fact) {
-    // Factorized handle: the retained set is the row_limit clamp of the
-    // full cardinality; the page expands ONLY rows [offset, offset+limit)
-    // — Skip() jumps whole groups, so a deep-OFFSET page never
-    // re-enumerates its prefix.
-    const uint64_t retained =
-        entry.fact.row_limit == 0
-            ? entry.fact.total_rows
-            : std::min(entry.fact.total_rows, entry.fact.row_limit);
-    resp.total_rows = retained;
-    const uint64_t begin = std::min<uint64_t>(request.offset, retained);
-    uint64_t end = retained;
-    if (request.limit != 0) {
-      end = std::min<uint64_t>(begin + request.limit, end);
+  } else {
+    resp.truncated = entry.truncated;
+    resp.var_names = RequestVarNames(entry.var_names, nq);
+    if (request.want_groups && entry.have_fact &&
+        !entry.fact.needs_row_dedup) {
+      // Granted groups form: ship the factorized records themselves. A
+      // DISTINCT handle with colliding groups is excluded above — its
+      // expansion routes through a row-level dedup set no client could
+      // replay — and falls through to expanded rows instead.
+      resp.total_rows = RetainedRows(entry.fact);
+      resp.groups_form = true;
+      resp.slot_list = entry.fact.slot_list;
+      resp.groups.reserve(entry.fact.groups.size());
+      for (const FactorizedResult::Group& g : entry.fact.groups) {
+        resp.groups.push_back(TranslateGroup(entry.fact, g));
+      }
+      from_fact = true;
+    } else {
+      // The page: rows [offset, offset+limit) of the retained handle.
+      const bool fact_page = !entry.have_rows && entry.have_fact;
+      const uint64_t retained =
+          fact_page ? RetainedRows(entry.fact) : entry.rows.size();
+      resp.total_rows = retained;
+      const uint64_t begin = std::min<uint64_t>(request.offset, retained);
+      uint64_t end = retained;
+      if (request.limit != 0) {
+        end = std::min(SaturatingAdd(begin, request.limit), end);
+      }
+      if (fact_page) {
+        // Factorized handle: the page expands ONLY its own rows — Skip()
+        // jumps whole groups, so a deep-OFFSET page never re-enumerates
+        // its prefix.
+        FactorizedResult::Cursor cur = entry.fact.Expand();
+        cur.Skip(begin);
+        resp.rows.reserve(static_cast<size_t>(end - begin));
+        for (uint64_t i = begin; i < end && cur.Next(); ++i) {
+          resp.rows.push_back(engine_->TranslateRow(cur.Row()));
+        }
+        resp.stats.rows_expanded += cur.rows_expanded();
+        from_fact = true;
+      } else {
+        resp.rows.assign(entry.rows.begin() + static_cast<ptrdiff_t>(begin),
+                         entry.rows.begin() + static_cast<ptrdiff_t>(end));
+      }
     }
-    FactorizedResult::Cursor cur = entry.fact.Expand();
-    cur.Skip(begin);
-    resp.rows.reserve(static_cast<size_t>(end - begin));
-    for (uint64_t i = begin; i < end && cur.Next(); ++i) {
-      resp.rows.push_back(engine_->TranslateRow(cur.Row()));
-    }
-    resp.stats.rows_expanded += cur.rows_expanded();
-    return resp;
   }
-  resp.total_rows = entry.rows.size();
-  // The page: rows [offset, offset+limit) of the retained handle.
-  const uint64_t begin =
-      std::min<uint64_t>(request.offset, entry.rows.size());
-  uint64_t end = entry.rows.size();
-  if (request.limit != 0) {
-    end = std::min<uint64_t>(begin + request.limit, end);
-  }
-  resp.rows.assign(entry.rows.begin() + static_cast<ptrdiff_t>(begin),
-                   entry.rows.begin() + static_cast<ptrdiff_t>(end));
+  if (cache_hit && from_fact) ++stats_.factorized_hits;
+  stats_.rows_served += resp.rows.size();
   return resp;
 }
 
@@ -418,17 +455,19 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
       nq.key + (request.count_only ? "#count" : "#rows");
   std::shared_ptr<Flight> flight;  // set iff this request leads a flight
 
-  // Whether an answer for this request would come from a factorized
-  // handle (rather than retained flat rows / a stored count) — the
-  // ServiceStats::factorized_hits accounting predicate, mirroring the
-  // handle preference order of BuildResponse.
-  auto fact_served = [&request](const CacheEntry& e) {
-    if (!e.have_fact) return false;
-    if (request.count_only) {
-      return !e.have_count && !(e.have_rows && !e.truncated);
+  // The budget ran out before an answer arrived: resolves the flight (if
+  // this request leads one) with a timed-out marker and answers
+  // timed_out. Caller holds mu_.
+  auto timed_out_locked = [&] {
+    if (flight != nullptr) {
+      auto marker = std::make_shared<CacheEntry>();
+      marker->exec_stats.timed_out = true;
+      PublishFlightLocked(flight_key, flight.get(), Status::OK(),
+                          std::move(marker));
     }
-    if (request.want_groups && !e.fact.needs_row_dedup) return true;
-    return !e.have_rows;
+    QueryResponse resp;
+    resp.timed_out = true;
+    return resp;
   };
 
   if (use_cache) {
@@ -448,10 +487,7 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
     if (usable) {
       ++stats_.cache_hits;
       ++stats_.queries;
-      if (fact_served(*entry)) ++stats_.factorized_hits;
-      QueryResponse resp = BuildResponse(*entry, nq, request, true);
-      stats_.rows_served += resp.rows.size();
-      return resp;
+      return BuildResponse(*entry, nq, request, true);
     }
     ++stats_.cache_misses;
 
@@ -491,19 +527,14 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
           }
           ++stats_.timed_out;
           ++stats_.queries;
-          QueryResponse resp;
-          resp.timed_out = true;
-          return resp;
+          return timed_out_locked();
         }
         // Leader failure propagates to every waiter; it is never cached.
         if (!lead->status.ok()) return lead->status;
         ++stats_.queries;
         if (lead->entry->exec_stats.timed_out) ++stats_.timed_out;
         if (lead->entry->exec_stats.cancelled) ++stats_.cancelled;
-        if (fact_served(*lead->entry)) ++stats_.factorized_hits;
-        QueryResponse resp = BuildResponse(*lead->entry, nq, request, true);
-        stats_.rows_served += resp.rows.size();
-        return resp;
+        return BuildResponse(*lead->entry, nq, request, true);
       }
       flight = it->second;  // leader: must publish on EVERY exit below
       // Bind the orphan machinery: the flight's source shares state with
@@ -516,59 +547,19 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
 
   // Admission: acquire an execution slot inside the request's own budget.
   bool shed = false;
-  switch (Admit(start, budget, &shed)) {
-    case Admission::kRejected: {
-      Status status = Status::ResourceExhausted(
-          "query service saturated (max_in_flight=" +
-          std::to_string(options_.max_in_flight) +
-          ", max_queued=" + std::to_string(options_.max_queued) + ")");
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-      if (flight != nullptr) {
-        PublishFlightLocked(flight_key, flight.get(), status, nullptr);
-      }
-      return status;
-    }
-    case Admission::kExpired: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.timed_out;
-      ++stats_.queries;
-      if (flight != nullptr) {
-        auto marker = std::make_shared<CacheEntry>();
-        marker->exec_stats.timed_out = true;
-        PublishFlightLocked(flight_key, flight.get(), Status::OK(),
-                            std::move(marker));
-      }
-      QueryResponse resp;
-      resp.timed_out = true;
-      return resp;
-    }
-    case Admission::kAdmitted:
-      break;
-  }
-  struct SlotGuard {
-    QueryService* s;
-    ~SlotGuard() { s->Release(); }
-  } slot_guard{this};
-
-  ExecOptions exec;
-  const int max_budget = options_.max_thread_budget > 0
-                             ? options_.max_thread_budget
-                             : options_.pool_threads + 1;
-  const int want = request.thread_budget > 0 ? request.thread_budget
-                                             : options_.default_thread_budget;
-  exec.num_threads = std::clamp(want, 1, max_budget);
-  const int shed_budget = std::max(options_.shed_thread_budget, 1);
-  if (shed && exec.num_threads > shed_budget) {
-    // Overload: degrade gracefully by shedding PARALLELISM, not the
-    // request — it still runs, on a reduced thread budget.
-    exec.num_threads = shed_budget;
+  const Admission admission = Admit(start, budget, &shed);
+  if (admission != Admission::kAdmitted) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_thread_budgets;
+    if (admission == Admission::kExpired) return timed_out_locked();
+    Status status = Saturated();
+    if (flight != nullptr) {
+      PublishFlightLocked(flight_key, flight.get(), status, nullptr);
+    }
+    return status;
   }
-  if (options_.share_pool) exec.pool = &pool_;
+  SlotGuard slot_guard{this};
+  ExecOptions exec = BuildExecOptions(request, shed, exec_cancel);
   if (!request.count_only) exec.max_rows = options_.max_result_rows;
-  exec.cancel = exec_cancel.token();
 
   // One execution attempt on the canonical parse (the plan half of the
   // cache): results depend on variables positionally, never on their
@@ -673,15 +664,7 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
     stats_.retries += retries_done;
     ++stats_.timed_out;
     ++stats_.queries;
-    if (flight != nullptr) {
-      auto marker = std::make_shared<CacheEntry>();
-      marker->exec_stats.timed_out = true;
-      PublishFlightLocked(flight_key, flight.get(), Status::OK(),
-                          std::move(marker));
-    }
-    QueryResponse resp;
-    resp.timed_out = true;
-    return resp;
+    return timed_out_locked();
   }
   if (!exec_status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -699,7 +682,6 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
   if (fresh.exec_stats.cancelled) ++stats_.cancelled;
   stats_.exec.MergeFrom(fresh.exec_stats);
   QueryResponse resp = BuildResponse(fresh, nq, request, false);
-  stats_.rows_served += resp.rows.size();
   if (flight != nullptr) {
     // Copy the result for the waiters only when someone is still there
     // to read it (the lone-miss fast path pays no copy). Timed-out
@@ -728,15 +710,20 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
 
 namespace {
 
-/// RowSink → PageSink adapter: skips the request offset, accumulates rows
-/// into ONE in-flight page bounded by rows AND bytes, and hands finished
-/// pages to the client synchronously (the matcher does not advance while a
-/// page is being consumed — that handoff IS the backpressure, so peak
-/// buffered memory is O(page), never O(result)). A page-handoff fault or a
-/// sink abort trips the execution token and stops the stream.
-class PagingSink final : public RowSink {
+/// The one page writer behind QueryStream. Both page sources feed it: the
+/// engine's row stream (it is the RowSink QueryEngine::Stream drives) and
+/// a groups stream's answer graph (translated groups, or cursor rows when
+/// DISTINCT groups need row-level dedup). It skips the request offset,
+/// buffers ONE in-flight page, and flushes it once the rows the page
+/// represents reach `page_rows` or its accounted bytes reach
+/// `page_bytes`. Each flush passes the `service.stream` fault site once
+/// and hands the page to the client synchronously: the source does not
+/// advance while a page is consumed — that handoff IS the backpressure,
+/// so buffered memory is O(page), never O(result). A fault or a refused
+/// page trips the execution token and stops the source.
+class PageWriter final : public RowSink {
  public:
-  PagingSink(PageSink* out, uint64_t offset, uint64_t page_rows,
+  PageWriter(PageSink* out, uint64_t offset, uint64_t page_rows,
              uint64_t page_bytes, CancellationSource* cancel)
       : out_(out),
         skip_(offset),
@@ -749,21 +736,29 @@ class PagingSink final : public RowSink {
       --skip_;
       return true;
     }
-    buf_bytes_ += row.size() * sizeof(std::string);
-    for (const std::string& cell : row) buf_bytes_ += cell.size();
-    buf_.emplace_back(row.begin(), row.end());
-    peak_bytes_ = std::max(peak_bytes_, buf_bytes_);
-    if (buf_.size() >= page_rows_ ||
-        (page_bytes_ > 0 && buf_bytes_ >= page_bytes_)) {
-      return Flush(/*last=*/false);
+    uint64_t bytes = row.size() * sizeof(std::string);
+    for (const std::string& cell : row) bytes += cell.size();
+    page_.rows.emplace_back(row.begin(), row.end());
+    return Buffered(/*rows=*/1, bytes);
+  }
+
+  /// One translated group standing for `rows` expanded rows.
+  bool OnGroup(ResultGroup&& group, uint64_t rows) {
+    uint64_t bytes =
+        sizeof(ResultGroup) + group.fixed.size() * sizeof(std::string);
+    for (const std::string& cell : group.fixed) bytes += cell.size();
+    for (const std::vector<std::string>& list : group.lists) {
+      bytes += sizeof(list) + list.size() * sizeof(std::string);
+      for (const std::string& cell : list) bytes += cell.size();
     }
-    return true;
+    page_.groups.push_back(std::move(group));
+    return Buffered(rows, bytes);
   }
 
   /// Hands the in-flight page to the client. `last` also flushes an empty
   /// terminator page. Returns false when the stream must stop.
   bool Flush(bool last) {
-    if (buf_.empty() && !last) return true;
+    if (page_.rows.empty() && page_.groups.empty() && !last) return true;
     // Page-handoff fault site: a firing aborts the stream exactly like a
     // client that stopped consuming.
     if (Status fault = FaultInjector::Global().Inject(faults::kServiceStream);
@@ -772,13 +767,13 @@ class PagingSink final : public RowSink {
       cancel_->Cancel();
       return false;
     }
-    StreamPage page;
+    StreamPage page = std::exchange(page_, StreamPage());
     page.first_row = delivered_;
-    page.rows = std::move(buf_);
     page.last = last;
-    buf_.clear();
-    buf_bytes_ = 0;
-    delivered_ += page.rows.size();
+    // A page counts as delivered once it is handed over, refused or not.
+    delivered_ = SaturatingAdd(delivered_, page_represented_);
+    page_represented_ = 0;
+    buffered_bytes_ = 0;
     ++pages_;
     if (!out_->OnPage(std::move(page))) {
       aborted_ = true;
@@ -795,13 +790,26 @@ class PagingSink final : public RowSink {
   const Status& status() const { return status_; }
 
  private:
+  /// Accounts what was just buffered; flushes once a page bound is hit.
+  bool Buffered(uint64_t rows, uint64_t bytes) {
+    page_represented_ = SaturatingAdd(page_represented_, rows);
+    buffered_bytes_ += bytes;
+    peak_bytes_ = std::max(peak_bytes_, buffered_bytes_);
+    if (page_represented_ >= page_rows_ ||
+        (page_bytes_ > 0 && buffered_bytes_ >= page_bytes_)) {
+      return Flush(/*last=*/false);
+    }
+    return true;
+  }
+
   PageSink* out_;
   uint64_t skip_;
   const uint64_t page_rows_;
   const uint64_t page_bytes_;
   CancellationSource* cancel_;
-  std::vector<std::vector<std::string>> buf_;
-  uint64_t buf_bytes_ = 0;
+  StreamPage page_;                // the in-flight page
+  uint64_t page_represented_ = 0;  // rows the in-flight page stands for
+  uint64_t buffered_bytes_ = 0;
   uint64_t delivered_ = 0;
   uint64_t pages_ = 0;
   uint64_t peak_bytes_ = 0;
@@ -843,18 +851,9 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
 
   bool shed = false;
   switch (Admit(start, budget, &shed)) {
-    case Admission::kRejected: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-      return Status::ResourceExhausted(
-          "query service saturated (max_in_flight=" +
-          std::to_string(options_.max_in_flight) +
-          ", max_queued=" + std::to_string(options_.max_queued) + ")");
-    }
+    case Admission::kRejected:
+      return Saturated();
     case Admission::kExpired: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.timed_out;
-      ++stats_.queries;
       StreamResponse resp;
       resp.timed_out = true;
       return resp;
@@ -862,26 +861,8 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
     case Admission::kAdmitted:
       break;
   }
-  struct SlotGuard {
-    QueryService* s;
-    ~SlotGuard() { s->Release(); }
-  } slot_guard{this};
-
-  ExecOptions exec;
-  const int max_budget = options_.max_thread_budget > 0
-                             ? options_.max_thread_budget
-                             : options_.pool_threads + 1;
-  const int want = request.thread_budget > 0 ? request.thread_budget
-                                             : options_.default_thread_budget;
-  exec.num_threads = std::clamp(want, 1, max_budget);
-  const int shed_budget = std::max(options_.shed_thread_budget, 1);
-  if (shed && exec.num_threads > shed_budget) {
-    exec.num_threads = shed_budget;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_thread_budgets;
-  }
-  if (options_.share_pool) exec.pool = &pool_;
-  exec.cancel = exec_cancel.token();
+  SlotGuard slot_guard{this};
+  ExecOptions exec = BuildExecOptions(request, shed, exec_cancel);
   // Pagination folds into the engine's row cap: enumeration stops once
   // offset + limit rows exist, instead of materializing the full result
   // and slicing.
@@ -907,210 +888,97 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
   AMBER_RETURN_IF_ERROR(
       FaultInjector::Global().Inject(faults::kServiceExecute));
 
-  if (options_.result_form == ResultForm::kFactorized || request.want_groups) {
+  // Two page sources, one writer. A want_groups stream pages out its
+  // answer graph; every other stream — and a groups stream on an engine
+  // that cannot factorize — pages the engine's row stream.
+  StreamResponse resp;
+  PageWriter writer(sink, request.offset, options_.stream_page_rows,
+                    options_.stream_buffer_bytes, &exec_cancel);
+  std::vector<std::string> canon_names;
+  ExecStats stats;       // the source's execution stats
+  bool stopped = false;  // the source ended before its last row or group
+  bool from_fact = false;
+  uint64_t row_cap = std::numeric_limits<uint64_t>::max();
+  if (request.want_groups) {
     Result<FactorizedRows> fr = engine_->Factorize(nq.query, exec);
     if (!fr.ok() && !fr.status().IsUnimplemented()) return fr.status();
     if (fr.ok()) {
-      // Stream by expanding the factorized handle: the offset is
-      // pre-skipped through the cursor (whole groups at a time), so a
-      // deep-OFFSET stream never re-enumerates its prefix; pages then
-      // leave through the same bounded PagingSink as the flat path.
-      StreamResponse resp;
-      resp.stats = fr->stats;
-      resp.var_names.reserve(fr->var_names.size());
-      for (const std::string& canon : fr->var_names) {
-        auto it = nq.canon_to_orig.find(canon);
-        resp.var_names.push_back(it != nq.canon_to_orig.end() ? it->second
-                                                              : canon);
-      }
-      if (fr->stats.timed_out || fr->stats.cancelled) {
-        // Partial handle — end like a timed-out / cancelled flat stream:
-        // no pages, no terminator.
-        resp.cancelled = fr->stats.cancelled;
-        resp.timed_out = !resp.cancelled && fr->stats.timed_out;
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.queries;
-        if (resp.cancelled) ++stats_.cancelled;
-        if (resp.timed_out) ++stats_.timed_out;
-        stats_.exec.MergeFrom(resp.stats);
-        return resp;
-      }
+      from_fact = true;
+      canon_names = std::move(fr->var_names);
+      stats = fr->stats;
       const FactorizedResult& fact = fr->result;
-      const uint64_t retained =
-          fact.row_limit == 0 ? fact.total_rows
-                              : std::min(fact.total_rows, fact.row_limit);
-      if (request.want_groups && !fact.needs_row_dedup) {
-        // Groups page path: ship the factorized records themselves, one
-        // page per flush, never expanding. Pages flush on the
-        // REPRESENTED-row bound (so a wire page covers about as many
-        // logical rows as a rows-mode page) or on the byte budget over
-        // retained tokens, whichever trips first — buffered memory stays
-        // O(page) of GROUP payload, the whole point. DISTINCT handles
-        // whose groups collide (needs_row_dedup) are excluded: their
-        // expansion routes through a dedup set no client could replay —
-        // they fall through to the expanded-row stream below.
+      row_cap = RetainedRows(fact);
+      // A partial (timed-out / cancelled) answer graph ships no pages;
+      // the end-state rule below classifies it.
+      const bool partial = stats.timed_out || stats.cancelled;
+      if (!partial && !fact.needs_row_dedup) {
+        // Ship the groups themselves, never expanding. The group crossing
+        // a row cap is delivered whole; rows_streamed is clamped to
+        // row_cap so clients trim expansion to it.
         resp.groups_form = true;
         resp.slot_list = fact.slot_list;
-        StreamPage page;
-        uint64_t page_rep = 0;    // rows represented by the in-flight page
-        uint64_t page_bytes = 0;  // token bytes buffered in it
-        uint64_t delivered = 0;   // represented rows already delivered
-        uint64_t pages = 0;
-        uint64_t peak_bytes = 0;
-        Status fault_status = Status::OK();
-        auto flush = [&](bool last) -> bool {
-          if (page.groups.empty() && !last) return true;
-          if (Status fault =
-                  FaultInjector::Global().Inject(faults::kServiceStream);
-              !fault.ok()) {
-            fault_status = std::move(fault);
-            exec_cancel.Cancel();
-            return false;
-          }
-          page.first_row = delivered;
-          page.last = last;
-          const uint64_t rep = page_rep;
-          ++pages;
-          page_rep = 0;
-          page_bytes = 0;
-          StreamPage out_page = std::move(page);
-          page = StreamPage();
-          if (!sink->OnPage(std::move(out_page))) {
-            exec_cancel.Cancel();
-            return false;
-          }
-          delivered += rep;
-          return true;
-        };
-        bool open = true;
         for (const FactorizedResult::Group& g : fact.groups) {
-          if (exec_cancel.cancelled()) {
-            open = false;
+          if (exec_cancel.cancelled() ||
+              !writer.OnGroup(TranslateGroup(fact, g), g.Cardinality())) {
+            stopped = true;
             break;
           }
-          ResultGroup out = TranslateGroup(fact, g);
-          uint64_t gbytes =
-              sizeof(ResultGroup) + out.fixed.size() * sizeof(std::string);
-          for (const std::string& cell : out.fixed) gbytes += cell.size();
-          for (const std::vector<std::string>& list : out.lists) {
-            gbytes += sizeof(list) + list.size() * sizeof(std::string);
-            for (const std::string& cell : list) gbytes += cell.size();
-          }
-          page_rep = SaturatingAdd(page_rep, g.Cardinality());
-          page_bytes += gbytes;
-          page.groups.push_back(std::move(out));
-          peak_bytes = std::max(peak_bytes, page_bytes);
-          if (page_rep >= options_.stream_page_rows ||
-              (options_.stream_buffer_bytes > 0 &&
-               page_bytes >= options_.stream_buffer_bytes)) {
-            if (!(open = flush(/*last=*/false))) break;
+        }
+      } else if (!partial) {
+        // DISTINCT groups that collide route their expansion through a
+        // row-level dedup set no client could replay: ship cursor rows.
+        FactorizedResult::Cursor cur = fact.Expand();
+        for (uint64_t i = 0; i < row_cap && cur.Next(); ++i) {
+          if (exec_cancel.cancelled() ||
+              !writer.OnRow(engine_->TranslateRow(cur.Row()))) {
+            stopped = true;
+            break;
           }
         }
-        if (!fault_status.ok()) return fault_status;
-        resp.cancelled = !open || exec_cancel.cancelled();
-        resp.complete = !resp.cancelled;
-        if (resp.complete && !flush(/*last=*/true)) {
-          if (!fault_status.ok()) return fault_status;
-          resp.cancelled = true;
-          resp.complete = false;
-        }
-        // The group crossing a row cap is delivered whole; the summary's
-        // rows_streamed is clamped so clients trim expansion to it.
-        resp.truncated = fact.truncated;
-        resp.rows_streamed = std::min(delivered, retained);
-        resp.pages = pages;
-        resp.peak_buffered_bytes = peak_bytes;
-        resp.stats.rows = resp.rows_streamed;
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.queries;
-        if (resp.cancelled) ++stats_.cancelled;
-        ++stats_.factorized_hits;
-        stats_.exec.MergeFrom(resp.stats);
-        stats_.rows_served += resp.rows_streamed;
-        return resp;
+        stats.rows_expanded += cur.rows_expanded();
       }
-      const uint64_t skip = std::min<uint64_t>(request.offset, retained);
-      uint64_t remaining = retained - skip;
-      if (request.limit != 0) remaining = std::min(remaining, request.limit);
-      PagingSink pager(sink, /*offset=*/0, options_.stream_page_rows,
-                       options_.stream_buffer_bytes, &exec_cancel);
-      FactorizedResult::Cursor cur = fact.Expand();
-      cur.Skip(skip);
-      bool open = true;
-      std::vector<std::string> row_text;
-      for (uint64_t i = 0; i < remaining && open && cur.Next(); ++i) {
-        row_text = engine_->TranslateRow(cur.Row());
-        open = pager.OnRow(row_text);
-      }
-      resp.stats.rows_expanded += cur.rows_expanded();
-      if (!pager.status().ok()) return pager.status();  // page-handoff fault
-      resp.cancelled = pager.aborted() || exec_cancel.cancelled();
-      resp.complete = !resp.cancelled;
-      if (resp.complete && !pager.Flush(/*last=*/true)) {
-        if (!pager.status().ok()) return pager.status();
-        resp.cancelled = true;
-        resp.complete = false;
-      }
-      const uint64_t cap = EffectiveRowCap(nq.query, exec);
-      resp.truncated = cap != 0 && skip + pager.delivered() >= cap;
-      resp.rows_streamed = pager.delivered();
-      resp.pages = pager.pages();
-      resp.peak_buffered_bytes = pager.peak_bytes();
-      resp.stats.rows = pager.delivered();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.queries;
-      if (resp.cancelled) ++stats_.cancelled;
-      stats_.exec.MergeFrom(resp.stats);
-      stats_.rows_served += pager.delivered();
-      return resp;
     }
-    // Engine cannot factorize (kUnimplemented): fall through to the flat
-    // stream path — without a second kServiceExecute injection.
   }
-
-  PagingSink pager(sink, request.offset, options_.stream_page_rows,
-                   options_.stream_buffer_bytes, &exec_cancel);
-  Result<StreamResult> sr = engine_->Stream(nq.query, exec, &pager);
-  if (!sr.ok()) return sr.status();
-  if (!pager.status().ok()) return pager.status();  // page-handoff fault
-
-  StreamResponse resp;
-  resp.stats = sr->stats;
-  resp.truncated = sr->stats.truncated;
-  resp.var_names.reserve(sr->var_names.size());
-  for (const std::string& canon : sr->var_names) {
-    auto it = nq.canon_to_orig.find(canon);
-    resp.var_names.push_back(it != nq.canon_to_orig.end() ? it->second
-                                                          : canon);
+  if (!from_fact) {
+    Result<StreamResult> sr = engine_->Stream(nq.query, exec, &writer);
+    if (!sr.ok()) return sr.status();
+    canon_names = std::move(sr->var_names);
+    stats = sr->stats;
+    stopped = sr->sink_stopped;
   }
-  // End-state classification (exactly one of the three): a sink abort or
-  // tripped token means cancelled; otherwise an engine timeout stands; a
-  // truncated (cap-reached) stream satisfied the request and is complete.
-  resp.cancelled =
-      pager.aborted() || sr->stats.cancelled ||
-      (sr->sink_stopped && exec_cancel.cancelled());
-  resp.timed_out = !resp.cancelled && sr->stats.timed_out;
+  if (!writer.status().ok()) return writer.status();  // page-handoff fault
+
+  resp.var_names = RequestVarNames(canon_names, nq);
+  resp.truncated = stats.truncated;
+  // The end-state rule of every stream (exactly one of the three): the
+  // stream is cancelled if the sink refused a page, the engine reported
+  // cancelled, or the source stopped early under a tripped token;
+  // otherwise an engine timeout stands; otherwise it is complete — a
+  // truncated (cap-reached) stream satisfied the request.
+  resp.cancelled = writer.aborted() || stats.cancelled ||
+                   (stopped && exec_cancel.cancelled());
+  resp.timed_out = !resp.cancelled && stats.timed_out;
   resp.complete = !resp.cancelled && !resp.timed_out;
-  if (resp.complete) {
-    // Terminator: flush the final partial page with last=true (an empty
-    // page when the stream ended on a page boundary or had no rows).
-    if (!pager.Flush(/*last=*/true)) {
-      if (!pager.status().ok()) return pager.status();
-      resp.cancelled = true;
-      resp.complete = false;
-    }
+  // Terminator: flush the final partial page with last=true (an empty
+  // page when the stream ended on a page boundary or had no rows).
+  if (resp.complete && !writer.Flush(/*last=*/true)) {
+    if (!writer.status().ok()) return writer.status();
+    resp.cancelled = true;
+    resp.complete = false;
   }
-  resp.rows_streamed = pager.delivered();
-  resp.pages = pager.pages();
-  resp.peak_buffered_bytes = pager.peak_bytes();
-  resp.stats.rows = pager.delivered();
+  resp.rows_streamed = std::min(writer.delivered(), row_cap);
+  resp.pages = writer.pages();
+  resp.peak_buffered_bytes = writer.peak_bytes();
+  resp.stats = stats;
+  resp.stats.rows = resp.rows_streamed;
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.queries;
   if (resp.cancelled) ++stats_.cancelled;
   if (resp.timed_out) ++stats_.timed_out;
-  stats_.exec.MergeFrom(sr->stats);
-  stats_.rows_served += pager.delivered();
+  if (resp.groups_form) ++stats_.factorized_hits;
+  stats_.exec.MergeFrom(stats);
+  stats_.rows_served += resp.rows_streamed;
   return resp;
 }
 

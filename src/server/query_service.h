@@ -54,11 +54,11 @@
 //     one matcher tick window and answers `cancelled` (never cached).
 //     QueryStream() delivers results as ordered pages through a PageSink
 //     with bounded in-flight buffering (`stream_page_rows`,
-//     `stream_buffer_bytes`): peak service memory is O(page buffer), not
-//     O(result). A sink abort or client abandonment trips the token; an
-//     orphaned single-flight leader — zero waiters left and its own
-//     client's budget expired — is cancelled instead of running to
-//     completion.
+//     `stream_buffer_bytes`): a row stream's peak service memory is
+//     O(page buffer), not O(result). A sink abort or client abandonment
+//     trips the token; an orphaned single-flight leader — zero waiters
+//     left and its own client's budget expired — is cancelled instead of
+//     running to completion.
 //
 // Thread-safety: Query() may be called concurrently from any number of
 // client threads. Responses are bit-identical to what a serial,
@@ -378,9 +378,11 @@ struct StreamResponse {
   bool groups_form = false;
   /// groups_form only: the slot → list mapping shared by every group.
   std::vector<uint32_t> slot_list;
-  /// Rows delivered across every page.
+  /// Rows delivered across every page. A page counts once it was handed
+  /// to PageSink::OnPage, so a page the sink refused is included.
   uint64_t rows_streamed = 0;
-  /// Pages delivered (including the final terminator page).
+  /// Pages delivered (including the final terminator page), under the
+  /// same rule: a refused page counts.
   uint64_t pages = 0;
   /// Exactly one of complete / cancelled / timed_out describes the end
   /// state. A truncated stream (row cap / LIMIT reached) is complete.
@@ -433,13 +435,16 @@ class QueryService {
                               const RequestOptions& request = {});
 
   /// Streams the result as ordered pages into `sink` with bounded
-  /// in-flight buffering (peak memory O(stream_page_rows ∧
-  /// stream_buffer_bytes), not O(result)). Page contents concatenated
-  /// equal the rows a materializing Query of the same request would
-  /// return (offset/limit included) — the determinism contract extends
-  /// to streamed prefixes. Streams bypass the cache and single-flight:
-  /// rows leave incrementally, so there is no handle to retain or share
-  /// (and a cancelled partial stream can never be cached).
+  /// in-flight buffering. Page contents concatenated equal the rows a
+  /// materializing Query of the same request would return (offset/limit
+  /// included) — the determinism contract extends to streamed prefixes.
+  /// A row stream always comes from QueryEngine::Stream, whatever the
+  /// service's result_form, so its peak memory is O(stream_page_rows ∧
+  /// stream_buffer_bytes), not O(result). A want_groups stream holds its
+  /// answer graph (QueryEngine::Factorize) and pages out its groups.
+  /// Streams bypass the cache and single-flight: pages leave
+  /// incrementally, so there is no handle to retain or share (and a
+  /// cancelled partial stream can never be cached).
   /// `request.count_only` is invalid here. Timeouts and cancellations
   /// are responses, not errors.
   Result<StreamResponse> QueryStream(std::string_view text,
@@ -525,10 +530,26 @@ class QueryService {
 
   /// Blocks until an execution slot is free, the queue overflows, or the
   /// deadline passes. On kAdmitted the caller owns one slot and `*shed`
-  /// says whether overload shedding applies to this request.
+  /// says whether overload shedding applies to this request. Counts a
+  /// rejection, and a queue expiry as an answered timed-out request.
   Admission Admit(std::chrono::steady_clock::time_point start,
                   std::chrono::milliseconds budget, bool* shed);
   void Release();
+
+  /// RAII over an admitted execution slot.
+  struct SlotGuard {
+    QueryService* s;
+    ~SlotGuard() { s->Release(); }
+  };
+
+  /// The kResourceExhausted answer of a rejected admission.
+  Status Saturated() const;
+
+  /// The ExecOptions every admitted request starts from: the clamped
+  /// thread budget (shed under overload), the shared pool and the
+  /// request's cancel token.
+  ExecOptions BuildExecOptions(const RequestOptions& request, bool shed,
+                               const CancellationSource& cancel);
 
   /// Cache lookup; touches the LRU. Caller holds mu_.
   CacheEntry* LookupLocked(const std::string& key);
@@ -546,7 +567,9 @@ class QueryService {
   /// Accounted bytes of an entry: rows, cells, variable names, key.
   static uint64_t EntryBytes(const std::string& key, const CacheEntry& e);
 
-  /// Builds the paginated response for this request from an entry.
+  /// Builds the paginated response for this request from an entry and
+  /// counts what it served: rows_served, and factorized_hits when a cache
+  /// hit or follower was answered from the answer graph. Caller holds mu_.
   QueryResponse BuildResponse(const CacheEntry& entry,
                               const NormalizedQuery& nq,
                               const RequestOptions& request, bool cache_hit);
@@ -556,9 +579,6 @@ class QueryService {
   /// strings.
   ResultGroup TranslateGroup(const FactorizedResult& fact,
                              const FactorizedResult::Group& g);
-  /// Translates a whole handle into QueryResponse::groups
-  /// (BuildResponse's groups-form path).
-  void FillGroups(const FactorizedResult& fact, QueryResponse* resp);
 
   /// Registers a request in the drain registry (Shutdown cancels
   /// through it). Fails with kUnavailable once Shutdown() has begun.

@@ -316,7 +316,9 @@ TEST(CancellationMatcherTest, ParallelMidStreamCancelDeliversAPrefix) {
       ASSERT_TRUE(out.ok()) << out.status();
       // A trip that lands after every chunk finished producing finds a
       // complete stream; anything earlier reports the cancellation.
-      if (!out->stats.cancelled) EXPECT_EQ(sink.rows.size(), want.size());
+      if (!out->stats.cancelled) {
+        EXPECT_EQ(sink.rows.size(), want.size());
+      }
       ASSERT_LE(sink.rows.size(), want.size());
       for (size_t i = 0; i < sink.rows.size(); ++i) {
         ASSERT_EQ(sink.rows[i], want[i]) << "prefix diverged at row " << i;

@@ -362,9 +362,12 @@ TEST(HttpDisconnectTest, AbandonedStreamCancelsRequest) {
   EXPECT_GE(lines_seen, 3);
 
   // The server notices the dead socket on a subsequent page write and
-  // trips the request token; poll until the cancellation lands.
+  // trips the request token; the handler counts the aborted response only
+  // after QueryStream returns, so poll until both counters have landed.
   const auto deadline = steady_clock::now() + std::chrono::seconds(10);
-  while (service.Stats().cancelled == 0 && steady_clock::now() < deadline) {
+  while ((service.Stats().cancelled == 0 ||
+          server.stats().aborted_responses == 0) &&
+         steady_clock::now() < deadline) {
     std::this_thread::sleep_for(milliseconds(10));
   }
   EXPECT_GE(service.Stats().cancelled, 1u);

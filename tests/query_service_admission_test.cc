@@ -23,12 +23,19 @@
 
 namespace {
 std::atomic<int64_t> g_live_allocs{0};
+
+/// The one release path of every operator delete form below.
+void CountedRelease(void* p) noexcept {
+  if (p) g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // Global allocator replacement tracking LIVE allocations (news minus
 // deletes): a balanced diff around a rejected request proves the service
-// released every byte it touched. Every form routes through malloc/free so
-// plain and sized/aligned news and deletes stay paired.
+// released every byte it touched. Every form routes through malloc/free
+// (the deletes through one counted-release helper) so plain and
+// sized/aligned news and deletes stay paired.
 void* operator new(std::size_t size) {
   g_live_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -47,24 +54,21 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept {
-  if (p) g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p) noexcept { CountedRelease(p); }
+void operator delete[](void* p) noexcept { CountedRelease(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedRelease(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedRelease(p); }
 void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 
 namespace amber {

@@ -34,17 +34,25 @@
 
 #include "core/amber_engine.h"
 #include "server/query_service.h"
+#include "server/wire.h"
 #include "test_util.h"
 #include "util/fault_injector.h"
 
 namespace {
 std::atomic<int64_t> g_live_allocs{0};
+
+/// The one release path of every operator delete form below.
+void CountedRelease(void* p) noexcept {
+  if (p) g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // Global allocator replacement tracking LIVE allocations (news minus
 // deletes): a balanced diff around a chaos window proves the service
 // released every byte it touched, faults and all. Every form routes
-// through malloc/free so plain and sized/aligned news and deletes pair.
+// through malloc/free (the deletes through one counted-release helper) so
+// plain and sized/aligned news and deletes pair.
 void* operator new(std::size_t size) {
   g_live_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -63,24 +71,21 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept {
-  if (p) g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p) noexcept { CountedRelease(p); }
+void operator delete[](void* p) noexcept { CountedRelease(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedRelease(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedRelease(p); }
 void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedRelease(p);
 }
 
 namespace amber {
@@ -197,7 +202,10 @@ std::string ArmRandomSchedule(std::mt19937_64& rng,
 }
 
 /// Random ServiceOptions for one schedule: every robustness knob varies.
-ServiceOptions RandomOptions(std::mt19937_64& rng) {
+/// The cache form comes from `extra`, a second RNG seeded from the
+/// schedule seed, leaving the `rng` draws (and every logged seed's
+/// replay) unaffected.
+ServiceOptions RandomOptions(std::mt19937_64& rng, std::mt19937_64& extra) {
   ServiceOptions options;
   options.pool_threads = 2;
   options.max_in_flight = 4 + rng() % 5;
@@ -213,7 +221,18 @@ ServiceOptions RandomOptions(std::mt19937_64& rng) {
   if (rng() % 4 == 0) {
     options.default_deadline = std::chrono::milliseconds(25);
   }
+  options.result_form =
+      extra() % 2 == 0 ? ResultForm::kFlat : ResultForm::kFactorized;
   return options;
+}
+
+/// The second RNG of a schedule (see RandomOptions).
+std::mt19937_64 ExtraRng(uint64_t seed) {
+  return std::mt19937_64(seed ^ 0x5DEECE66Dull);
+}
+
+const char* FormName(const ServiceOptions& options) {
+  return options.result_form == ResultForm::kFlat ? "flat" : "factorized";
 }
 
 /// Runs one schedule: 8 clients × 3 requests against `engine` under the
@@ -221,12 +240,14 @@ ServiceOptions RandomOptions(std::mt19937_64& rng) {
 void RunOneSchedule(QueryEngine* engine, const std::vector<ChaosCase>& cases,
                     uint64_t seed) {
   std::mt19937_64 rng(seed);
+  std::mt19937_64 extra = ExtraRng(seed);
   const std::string faults_desc = ArmRandomSchedule(rng);
+  const ServiceOptions options = RandomOptions(rng, extra);
   // The replay handle: every assertion below carries it (SCOPED_TRACE is
   // thread-local, so client-thread failures must embed it themselves).
   const std::string trace = " [chaos seed=" + std::to_string(seed) +
+                            " form=" + FormName(options) +
                             " faults: " + faults_desc + "]";
-  const ServiceOptions options = RandomOptions(rng);
   {
     QueryService service(engine, options);
     constexpr int kClients = 8;
@@ -273,34 +294,53 @@ void RunOneSchedule(QueryEngine* engine, const std::vector<ChaosCase>& cases,
 // Streaming chaos: randomized mid-stream abandonment schedules.
 
 /// One streamable query with its full-result serial reference (the plain,
-/// unpaginated shapes of the materializing workload).
+/// unpaginated shapes of the materializing workload), plus the slot_list
+/// its groups stream ships (empty when its groups need row-level dedup
+/// and stream as rows).
 struct StreamCase {
   std::string text;
   std::vector<std::string> want_var_names;
   std::vector<std::vector<std::string>> want_rows;
+  bool want_truncated = false;
+  std::vector<uint32_t> slot_list;
 };
 
-std::vector<StreamCase> StreamCasesFrom(const std::vector<ChaosCase>& cases) {
+std::vector<StreamCase> StreamCasesFrom(AmberEngine& reference,
+                                        const std::vector<ChaosCase>& cases) {
+  ServiceOptions serial;
+  serial.pool_threads = 1;
+  serial.cache_entries = 0;
+  QueryService service(&reference, serial);
   std::vector<StreamCase> out;
   for (const ChaosCase& c : cases) {
     if (c.request.count_only || c.request.offset != 0 ||
         c.request.limit != 0) {
       continue;
     }
-    out.push_back({c.text, c.want_var_names, c.want_rows});
+    RequestOptions groups;
+    groups.want_groups = true;
+    auto resp = service.Query(c.text, groups);
+    EXPECT_TRUE(resp.ok()) << resp.status() << "\n" << c.text;
+    if (!resp.ok()) continue;
+    out.push_back({c.text, c.want_var_names, c.want_rows, c.want_truncated,
+                   resp->slot_list});
   }
   return out;
 }
 
-/// Chaos page consumer: collects rows, asserts page continuity as pages
-/// arrive, and — per its mode — aborts or trips the client token after a
-/// drawn number of pages (mid-stream abandonment).
+/// Chaos page consumer: collects rows (expanding groups pages through
+/// `slot_list`), asserts page continuity as pages arrive, and — per its
+/// mode — aborts or trips the client token after a drawn number of pages
+/// (mid-stream abandonment).
 class ChaosPageSink : public PageSink {
  public:
   bool OnPage(StreamPage&& page) override {
     EXPECT_EQ(page.first_row, rows.size())
         << "page skipped or repeated" << *trace;
     for (auto& row : page.rows) rows.push_back(std::move(row));
+    for (auto& row : wire::ExpandGroups(*slot_list, page.groups)) {
+      rows.push_back(std::move(row));
+    }
     ++pages;
     if (page.last) saw_last = true;
     if (cancel_after_pages != 0 && pages >= cancel_after_pages &&
@@ -311,6 +351,7 @@ class ChaosPageSink : public PageSink {
   }
 
   const std::string* trace = nullptr;
+  const std::vector<uint32_t>* slot_list = nullptr;
   std::vector<std::vector<std::string>> rows;
   uint64_t pages = 0;
   bool saw_last = false;
@@ -323,23 +364,28 @@ class ChaosPageSink : public PageSink {
 /// consumption, sink aborts, token trips after K pages, pre-cancelled
 /// materializing requests and delayed cancels (token trips during retry
 /// backoff) — under randomized faults on all four serving-path sites.
-/// Invariants, per response:
+/// Streams draw rows or groups form; groups pages are expanded client-side
+/// (wire::ExpandGroups). Invariants, per response:
 ///
 ///   - an error is one of the injected codes or admission's rejection;
 ///   - an ok stream ends in EXACTLY one of complete/cancelled/timed_out;
 ///   - the streamed rows are a bit-identical PREFIX of the serial
-///     reference (the full reference when complete).
+///     reference (the full reference when complete). A groups stream
+///     delivers the group crossing a row cap whole, so its expansion is
+///     trimmed to the reference's length when the reference is truncated.
 void RunOneStreamSchedule(QueryEngine* engine,
                           const std::vector<StreamCase>& cases,
                           uint64_t seed) {
   std::mt19937_64 rng(seed);
+  std::mt19937_64 extra = ExtraRng(seed);
   const std::string faults_desc =
       ArmRandomSchedule(rng, /*with_stream_site=*/true);
-  const std::string trace = " [stream-chaos seed=" + std::to_string(seed) +
-                            " faults: " + faults_desc + "]";
-  ServiceOptions options = RandomOptions(rng);
+  ServiceOptions options = RandomOptions(rng, extra);
   options.stream_page_rows = 1 + rng() % 4;
   if (rng() % 2 == 0) options.stream_buffer_bytes = 64 + rng() % 256;
+  const std::string trace = " [stream-chaos seed=" + std::to_string(seed) +
+                            " form=" + FormName(options) +
+                            " faults: " + faults_desc + "]";
   {
     QueryService service(engine, options);
     constexpr int kClients = 6;
@@ -350,6 +396,7 @@ void RunOneStreamSchedule(QueryEngine* engine,
       const uint64_t client_seed = seed ^ (0xD1B54A32D192ED03ull * (ci + 1));
       clients.emplace_back([&service, &cases, &trace, client_seed] {
         std::mt19937_64 crng(client_seed);
+        std::mt19937_64 cextra = ExtraRng(client_seed);
         for (int qi = 0; qi < kRequestsPerClient; ++qi) {
           const StreamCase& c = cases[crng() % cases.size()];
           RequestOptions req;
@@ -395,9 +442,13 @@ void RunOneStreamSchedule(QueryEngine* engine,
             continue;
           }
 
+          // The form comes from the second RNG, leaving crng's draws (and
+          // every logged seed's replay) unaffected.
+          req.want_groups = cextra() % 2 == 0;
           CancellationSource client_cancel;
           ChaosPageSink sink;
           sink.trace = &trace;
+          sink.slot_list = &c.slot_list;
           if (mode == 1) sink.abort_after_pages = 1 + crng() % 3;
           if (mode == 2) {
             sink.cancel_after_pages = 1 + crng() % 3;
@@ -418,8 +469,17 @@ void RunOneStreamSchedule(QueryEngine* engine,
                 << trace;
             if (resp->complete) {
               EXPECT_TRUE(sink.saw_last) << trace;
+              // A groups stream's summary clamps rows_streamed to the cap.
+              if (resp->groups_form && sink.rows.size() > resp->rows_streamed) {
+                sink.rows.resize(resp->rows_streamed);
+              }
               EXPECT_EQ(sink.rows, c.want_rows) << c.text << trace;
             }
+          }
+          const bool groups_granted = !c.slot_list.empty();
+          if (req.want_groups && groups_granted && c.want_truncated &&
+              sink.rows.size() > c.want_rows.size()) {
+            sink.rows.resize(c.want_rows.size());
           }
           // Delivered pages are ALWAYS a bit-identical prefix of the
           // serial reference — complete, abandoned, timed out or errored
@@ -497,7 +557,8 @@ TEST_F(QueryServiceChaosTest, MmapEngineSurvivesRandomSchedules) {
 }
 
 TEST_F(QueryServiceChaosTest, StreamingSchedulesSurviveChaos) {
-  const std::vector<StreamCase> stream_cases = StreamCasesFrom(*cases_);
+  const std::vector<StreamCase> stream_cases =
+      StreamCasesFrom(*fresh_, *cases_);
   ASSERT_FALSE(stream_cases.empty());
   for (int s = 0; s < 30; ++s) {
     RunOneStreamSchedule(fresh_, stream_cases, 0x57AE3000ull + s);
@@ -505,7 +566,8 @@ TEST_F(QueryServiceChaosTest, StreamingSchedulesSurviveChaos) {
 }
 
 TEST_F(QueryServiceChaosTest, MmapStreamingSchedulesSurviveChaos) {
-  const std::vector<StreamCase> stream_cases = StreamCasesFrom(*cases_);
+  const std::vector<StreamCase> stream_cases =
+      StreamCasesFrom(*fresh_, *cases_);
   ASSERT_FALSE(stream_cases.empty());
   for (int s = 0; s < 15; ++s) {
     RunOneStreamSchedule(mmap_, stream_cases, 0x57AE4000ull + s);
@@ -513,7 +575,8 @@ TEST_F(QueryServiceChaosTest, MmapStreamingSchedulesSurviveChaos) {
 }
 
 TEST_F(QueryServiceChaosTest, StreamingSchedulesLeakNoAllocations) {
-  const std::vector<StreamCase> stream_cases = StreamCasesFrom(*cases_);
+  const std::vector<StreamCase> stream_cases =
+      StreamCasesFrom(*fresh_, *cases_);
   ASSERT_FALSE(stream_cases.empty());
   // Warm-up settles lazy one-shot allocations (see below).
   RunOneStreamSchedule(fresh_, stream_cases, 0x57AEA000ull);

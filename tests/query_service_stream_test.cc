@@ -1,7 +1,8 @@
 // QueryService::QueryStream: ordered page delivery with bounded in-flight
-// buffering, plus the request-cancellation surface of Query() — client
-// tokens, sink aborts, backoff interruption, and the orphaned single-flight
-// leader retirement. Streamed pages concatenated must equal the rows the
+// buffering (row pages and groups pages through one page writer), plus
+// the request-cancellation surface of Query() — client tokens, sink
+// aborts, backoff interruption, and the orphaned single-flight leader
+// retirement. Streamed pages concatenated must equal the rows the
 // materializing Query() of the same request returns (the determinism
 // contract extends to streamed prefixes); cancelled partials are never
 // cached.
@@ -16,6 +17,7 @@
 #include "core/amber_engine.h"
 #include "rdf/term.h"
 #include "server/query_service.h"
+#include "server/wire.h"
 #include "test_util.h"
 #include "util/fault_injector.h"
 
@@ -42,14 +44,47 @@ std::vector<Triple> ChainData(int n) {
 
 constexpr char kEdgeQuery[] = "SELECT ?a ?b WHERE { ?a <urn:p0> ?b . }";
 
-/// Collects pages, verifying first_row continuity as they arrive; can
-/// abort (OnPage returns false) or trip a cancellation source after a
-/// given number of pages.
+/// `hubs` star centers, each with `fanout` private p0-satellites: a star
+/// query with k satellite variables yields one group of fanout^k rows per
+/// hub.
+std::vector<Triple> StarData(int hubs, int fanout) {
+  std::vector<Triple> data;
+  for (int h = 0; h < hubs; ++h) {
+    const std::string hub = "urn:hub" + std::to_string(h);
+    for (int s = 0; s < fanout; ++s) {
+      data.emplace_back(Term::Iri(hub), Term::Iri("urn:p0"),
+                        Term::Iri(hub + "sat" + std::to_string(s)));
+    }
+  }
+  return data;
+}
+
+constexpr char kStarQuery[] =
+    "SELECT ?h ?s0 ?s1 WHERE { ?h <urn:p0> ?s0 . ?h <urn:p0> ?s1 . }";
+
+/// Rows a transport-form group expands to.
+uint64_t Cardinality(const ResultGroup& g) {
+  uint64_t card = g.multiplicity;
+  for (const std::vector<std::string>& list : g.lists) card *= list.size();
+  return card;
+}
+
+/// Collects pages, verifying first_row continuity as they arrive (in
+/// represented rows, so groups pages count their expansion); can abort
+/// (OnPage returns false) or trip a cancellation source after a given
+/// number of pages.
 class CollectingPageSink : public PageSink {
  public:
   bool OnPage(StreamPage&& page) override {
-    EXPECT_EQ(page.first_row, rows.size()) << "page skipped or repeated";
+    EXPECT_EQ(page.first_row, represented) << "page skipped or repeated";
+    uint64_t page_represented = page.rows.size();
     for (auto& row : page.rows) rows.push_back(std::move(row));
+    for (ResultGroup& g : page.groups) {
+      page_represented += Cardinality(g);
+      groups.push_back(std::move(g));
+    }
+    represented += page_represented;
+    page_rows.push_back(page_represented);
     ++pages;
     if (page.last) saw_last = true;
     if (cancel_after_pages != 0 && pages >= cancel_after_pages &&
@@ -60,6 +95,9 @@ class CollectingPageSink : public PageSink {
   }
 
   std::vector<std::vector<std::string>> rows;
+  std::vector<ResultGroup> groups;
+  uint64_t represented = 0;         // rows the pages so far stand for
+  std::vector<uint64_t> page_rows;  // represented rows, per page
   uint64_t pages = 0;
   bool saw_last = false;
   uint64_t abort_after_pages = 0;   // 0 = never abort
@@ -426,20 +464,19 @@ TEST(QueryServiceOrphanTest, ResolvedFollowersNeverOrphanTheLeader) {
   EXPECT_EQ(service.Stats().orphaned_flights, 0u);
 }
 
-// Factorized streaming (ServiceOptions::result_form): the stream is fed
-// from a lazily-expanded answer-graph cursor instead of engine row
-// emission; pages, end-state flags and row payloads must be bit-identical
-// to the flat stream, and a deep offset expands only the delivered rows.
-TEST_F(QueryServiceStreamTest, FactorizedStreamMatchesFlatStream) {
-  ServiceOptions flat_opts;
-  flat_opts.pool_threads = 2;
-  flat_opts.stream_page_rows = 3;
-  QueryService flat_service(engine_, flat_opts);
-  ServiceOptions fact_opts = flat_opts;
-  fact_opts.result_form = ResultForm::kFactorized;
-  QueryService fact_service(engine_, fact_opts);
+// ServiceOptions::result_form picks only what the cache keeps: a row
+// stream comes from QueryEngine::Stream on either form, so a kFactorized
+// service streams the reference rows without building an answer graph
+// (bytes_factorized stays 0) — the O(page) bound holds for every row
+// stream.
+TEST_F(QueryServiceStreamTest, FactorizedServiceStreamsEngineRows) {
+  ServiceOptions options;
+  options.pool_threads = 2;
+  options.stream_page_rows = 3;
+  options.result_form = ResultForm::kFactorized;
+  QueryService service(engine_, options);
 
-  std::vector<std::string> texts;
+  std::vector<std::string> texts = {kEdgeQuery};
   for (int qi = 0; qi < 3; ++qi) {
     texts.push_back(testutil::RandomQueryFromData(*data_, 3100 + qi, 3));
   }
@@ -458,23 +495,166 @@ TEST_F(QueryServiceStreamTest, FactorizedStreamMatchesFlatStream) {
       RequestOptions request;
       request.offset = shape.offset;
       request.limit = shape.limit;
+      request.bypass_cache = true;
+      auto ref = service.Query(text, request);
+      ASSERT_TRUE(ref.ok()) << ref.status();
 
-      CollectingPageSink flat_sink;
-      auto flat = flat_service.QueryStream(text, request, &flat_sink);
-      CollectingPageSink fact_sink;
-      auto fact = fact_service.QueryStream(text, request, &fact_sink);
-      ASSERT_TRUE(flat.ok() && fact.ok())
-          << flat.status() << " / " << fact.status();
-
-      CheckClassification(*fact);
-      EXPECT_EQ(fact_sink.rows, flat_sink.rows);
-      EXPECT_EQ(fact->rows_streamed, flat->rows_streamed);
-      EXPECT_EQ(fact->complete, flat->complete);
-      EXPECT_EQ(fact->truncated, flat->truncated);
-      EXPECT_EQ(fact->var_names, flat->var_names);
-      EXPECT_TRUE(fact_sink.saw_last);
+      CollectingPageSink sink;
+      auto resp = service.QueryStream(text, request, &sink);
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      CheckClassification(*resp);
+      EXPECT_TRUE(resp->complete);
+      EXPECT_TRUE(sink.saw_last);
+      EXPECT_FALSE(resp->groups_form);
+      EXPECT_EQ(resp->var_names, ref->var_names);
+      EXPECT_EQ(sink.rows, ref->rows);
+      EXPECT_EQ(resp->rows_streamed, ref->rows.size());
+      EXPECT_EQ(resp->stats.bytes_factorized, 0u);
+      EXPECT_EQ(resp->stats.groups_emitted, 0u);
     }
   }
+}
+
+// A want_groups stream pages out its answer graph through the same page
+// writer as a row stream: pages flush on the rows their groups REPRESENT,
+// first_row counts represented rows, a refused page still counts as
+// delivered, and each flush passes the service.stream fault site once.
+TEST(QueryServiceGroupsStreamTest, PagesFlushOnRepresentedRows) {
+  // 4 hubs x fanout 3, two satellites: 4 groups of 9 rows each.
+  AmberEngine engine = MustBuild(StarData(/*hubs=*/4, /*fanout=*/3));
+  ServiceOptions options;
+  options.stream_page_rows = 10;  // two 9-row groups per page
+  options.stream_buffer_bytes = 0;
+  QueryService service(&engine, options);
+  auto ref = service.Query(kStarQuery, RequestOptions{});
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->rows.size(), 36u);
+
+  RequestOptions request;
+  request.want_groups = true;
+  CollectingPageSink sink;
+  auto resp = service.QueryStream(kStarQuery, request, &sink);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  CheckClassification(*resp);
+  EXPECT_TRUE(resp->complete);
+  ASSERT_TRUE(resp->groups_form);
+  EXPECT_TRUE(sink.saw_last);
+  EXPECT_TRUE(sink.rows.empty());
+  EXPECT_EQ(sink.groups.size(), 4u);
+  // Continuity is asserted inside the sink; each page closes once its
+  // groups represent >= 10 rows, then the empty terminator follows.
+  EXPECT_EQ(sink.page_rows, (std::vector<uint64_t>{18, 18, 0}));
+  EXPECT_EQ(resp->pages, 3u);
+  EXPECT_EQ(resp->rows_streamed, 36u);
+  EXPECT_EQ(resp->var_names, ref->var_names);
+  EXPECT_EQ(wire::ExpandGroups(resp->slot_list, sink.groups), ref->rows);
+  EXPECT_EQ(service.Stats().factorized_hits, 1u);
+  EXPECT_EQ(service.Stats().rows_served, ref->rows.size() + 36u);
+}
+
+TEST(QueryServiceGroupsStreamTest, RefusedPageCountsAsDelivered) {
+  AmberEngine engine = MustBuild(StarData(/*hubs=*/4, /*fanout=*/3));
+  ServiceOptions options;
+  options.stream_page_rows = 10;
+  QueryService service(&engine, options);
+  RequestOptions request;
+  request.want_groups = true;
+  CollectingPageSink sink;
+  sink.abort_after_pages = 1;  // refuses the very first page
+  auto resp = service.QueryStream(kStarQuery, request, &sink);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  CheckClassification(*resp);
+  EXPECT_TRUE(resp->cancelled);
+  EXPECT_FALSE(sink.saw_last);
+  // The refused page was handed to OnPage: it counts, as on a row stream.
+  EXPECT_EQ(sink.pages, 1u);
+  EXPECT_EQ(resp->pages, 1u);
+  EXPECT_EQ(resp->rows_streamed, 18u);
+  EXPECT_EQ(service.Stats().cancelled, 1u);
+}
+
+TEST(QueryServiceGroupsStreamTest, TokenTrippedAfterLastGroupEndsComplete) {
+  AmberEngine engine = MustBuild(StarData(/*hubs=*/4, /*fanout=*/3));
+  ServiceOptions options;
+  options.stream_page_rows = 10;
+  QueryService service(&engine, options);
+  CancellationSource client;
+  RequestOptions request;
+  request.want_groups = true;
+  request.cancel = client.token();
+  CollectingPageSink sink;
+  sink.cancel_after_pages = 2;  // the page that carries the last group
+  sink.cancel_source = &client;
+  auto resp = service.QueryStream(kStarQuery, request, &sink);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  CheckClassification(*resp);
+  // Nothing was left to stop: the stream ends complete, like a row
+  // stream whose token trips after its last row.
+  EXPECT_TRUE(resp->complete);
+  EXPECT_TRUE(sink.saw_last);
+  EXPECT_EQ(resp->rows_streamed, 36u);
+}
+
+TEST(QueryServiceGroupsStreamTest, PageHandoffFaultSurfacesError) {
+  AmberEngine engine = MustBuild(StarData(/*hubs=*/4, /*fanout=*/3));
+  ServiceOptions options;
+  options.stream_page_rows = 10;
+  QueryService service(&engine, options);
+  FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  spec.fail_nth = 2;  // the second flush
+  ScopedFault fault(faults::kServiceStream, spec);
+  RequestOptions request;
+  request.want_groups = true;
+  CollectingPageSink sink;
+  auto resp = service.QueryStream(kStarQuery, request, &sink);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sink.pages, 1u);  // the faulted page was never delivered
+  EXPECT_EQ(sink.groups.size(), 2u);
+  EXPECT_EQ(FaultInjector::Global().Fires(faults::kServiceStream), 1u);
+}
+
+// A DISTINCT answer graph whose groups collide needs row-level dedup no
+// client could replay: the groups stream ships the deduplicated rows
+// instead, through the same writer.
+TEST(QueryServiceGroupsStreamTest, DistinctCollisionShipsRows) {
+  // Every ?c joins both ?b and both ?s, and ?c is not projected: the three
+  // groups share one (empty) projected-core key, so their 12 represented
+  // rows dedup to 4.
+  std::vector<Triple> data;
+  for (int c = 0; c < 3; ++c) {
+    const Term mid = Term::Iri("urn:c" + std::to_string(c));
+    for (int i = 0; i < 2; ++i) {
+      data.emplace_back(Term::Iri("urn:b" + std::to_string(i)),
+                        Term::Iri("urn:p1"), mid);
+      data.emplace_back(mid, Term::Iri("urn:p2"),
+                        Term::Iri("urn:s" + std::to_string(i)));
+    }
+  }
+  AmberEngine engine = MustBuild(data);
+  ServiceOptions options;
+  options.stream_page_rows = 3;
+  QueryService service(&engine, options);
+  const char* text =
+      "SELECT DISTINCT ?b ?s WHERE { ?b <urn:p1> ?c . ?c <urn:p2> ?s . }";
+  auto ref = service.Query(text, RequestOptions{});
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->rows.size(), 4u);
+
+  RequestOptions request;
+  request.want_groups = true;
+  CollectingPageSink sink;
+  auto resp = service.QueryStream(text, request, &sink);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  CheckClassification(*resp);
+  EXPECT_TRUE(resp->complete);
+  EXPECT_FALSE(resp->groups_form);
+  EXPECT_TRUE(sink.groups.empty());
+  EXPECT_EQ(sink.rows, ref->rows);
+  EXPECT_EQ(sink.page_rows, (std::vector<uint64_t>{3, 1}));
+  EXPECT_EQ(resp->rows_streamed, 4u);
+  EXPECT_GT(resp->stats.rows_expanded, 0u);
 }
 
 }  // namespace
