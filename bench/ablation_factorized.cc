@@ -5,8 +5,9 @@
 //
 //   count-fact       Count() — product-of-list-sizes arithmetic, the
 //                    odometer never runs;
-//   enumerate-flat   Stream() into a discarding sink — the matcher's flat
-//                    odometer expands the full cross-product row by row;
+//   enumerate-flat   Stream() into a discarding sink — the row sinks expand
+//                    every group the matcher emits, the full cross-product
+//                    row by row;
 //   expand-fact      Factorize() + cursor expansion of every row — same
 //                    output as enumerate-flat, through the factorized
 //                    handle (what Materialize() does);

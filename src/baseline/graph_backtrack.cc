@@ -35,6 +35,7 @@ class GraphBacktrackExec {
     deadline_ = Deadline::After(options_.timeout);
     match_.assign(q_.NumVertices(), kInvalidId);
     row_buffer_.resize(q_.projection().size());
+    core_slots_.assign(q_.projection().size(), kNoGroupList);
 
     // Ground checks first.
     for (const GroundEdge& e : q_.ground_edges()) {
@@ -52,11 +53,7 @@ class GraphBacktrackExec {
       }
     }
     if (q_.NumVertices() == 0) {
-      if (sink_->wants_rows()) {
-        sink_->OnRow(std::span<const VertexId>{});
-      } else {
-        sink_->OnCount(1);
-      }
+      sink_->OnGroup(EmbeddingGroupView{});  // one empty row
       return;
     }
 
@@ -160,8 +157,10 @@ class GraphBacktrackExec {
     for (size_t i = 0; i < proj.size(); ++i) {
       row_buffer_[i] = match_[proj[i]];
     }
-    bool keep_going = sink_->wants_rows() ? sink_->OnRow(row_buffer_)
-                                          : sink_->OnCount(1);
+    // Each solution is a one-row group: every slot bound, no lists.
+    const EmbeddingGroupView row{.fixed = row_buffer_,
+                                 .slot_list = core_slots_};
+    const bool keep_going = sink_->OnGroup(row);
     if (!keep_going) stats_->truncated = true;
     return keep_going;
   }
@@ -246,6 +245,7 @@ class GraphBacktrackExec {
   std::vector<uint32_t> order_;
   std::vector<VertexId> match_;
   std::vector<VertexId> row_buffer_;
+  std::vector<uint32_t> core_slots_;  // kNoGroupList per projection slot
   EmbeddingSink* sink_ = nullptr;
   ExecStats* stats_ = nullptr;
   Deadline deadline_;

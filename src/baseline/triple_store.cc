@@ -396,6 +396,7 @@ class TripleStoreExec {
     bindings_.assign(var_names_.size(), kInvalidDictId);
     sink_ = sink;
     row_buffer_.resize(projection_.size());
+    core_slots_.assign(projection_.size(), kNoGroupList);
     Recurse(0);
   }
 
@@ -456,7 +457,10 @@ class TripleStoreExec {
       for (size_t i = 0; i < projection_.size(); ++i) {
         row_buffer_[i] = bindings_[projection_[i]];
       }
-      if (!sink_->OnRow(row_buffer_)) {
+      // Each solution is a one-row group: every slot bound, no lists.
+      const EmbeddingGroupView row{.fixed = row_buffer_,
+                                   .slot_list = core_slots_};
+      if (!sink_->OnGroup(row)) {
         stats_.truncated = true;
         return false;
       }
@@ -519,6 +523,7 @@ class TripleStoreExec {
   std::vector<size_t> order_;
   std::vector<uint32_t> bindings_;
   std::vector<VertexId> row_buffer_;
+  std::vector<uint32_t> core_slots_;  // kNoGroupList per projection slot
   EmbeddingSink* sink_ = nullptr;
   Deadline deadline_;
   ExecStats stats_;

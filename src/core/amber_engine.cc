@@ -126,8 +126,8 @@ Result<MaterializedRows> AmberEngine::Materialize(const SelectQuery& query,
   MaterializedRows result;
   result.var_names = std::move(fr.var_names);
   result.stats = fr.stats;
-  // Expansion order is the flat serial order and stats.rows is the capped
-  // exact total, so the cursor's first stats.rows rows are the answer.
+  // The cursor expands in the order Stream delivers and stats.rows is the
+  // capped exact total, so the cursor's first stats.rows rows are the answer.
   FactorizedResult::Cursor cur = fr.result.Expand();
   while (result.rows.size() < result.stats.rows && cur.Next()) {
     result.rows.push_back(TranslateRow(cur.Row()));
@@ -174,9 +174,7 @@ Result<FactorizedRows> AmberEngine::Factorize(const SelectQuery& query,
       FactorizedBuilder builder(num_slots, std::move(slot_list),
                                 qg.distinct(), cap);
       FactorizedSink sink(&builder);
-      AMBER_RETURN_IF_ERROR(
-          matcher.Run(&sink, &stats, std::nullopt,
-                      /*bag_multiplicity=*/!qg.distinct()));
+      AMBER_RETURN_IF_ERROR(matcher.Run(&sink, &stats));
       stats.rows_expanded += builder.rows_expanded();
       out.result = builder.Finish();
     }
@@ -218,8 +216,9 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
   };
 
   if (!qg.unsatisfiable()) {
-    // The flat odometer: rows leave one at a time, so memory stays bounded
-    // by the chunk buffers whatever the result's size.
+    // The row sinks expand each group as the matcher emits it: rows leave
+    // one at a time, so memory stays bounded by the chunk buffers whatever
+    // the result's size.
     const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
     if (RunsParallel(options, plan)) {
       ParallelStreamSink stream{deliver};
@@ -230,8 +229,7 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
     } else {
       Matcher matcher(graph_, indexes_, qg, plan, options);
       StreamingSink ssink(qg.distinct(), cap, deliver);
-      AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats, std::nullopt,
-                                        /*bag_multiplicity=*/!qg.distinct()));
+      AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats));
     }
   }
 

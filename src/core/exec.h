@@ -149,13 +149,13 @@ struct ExecStats {
   uint64_t tasks_dispatched = 0;
 
   // -- Factorized answer graphs (docs/ARCHITECTURE.md, "Factorized answer
-  // graphs"). groups_emitted / factorized_rows_represented track the
-  // compact representation (also on the counting fast path, which is
-  // group-at-a-time); rows_expanded counts rows actually materialized —
-  // by the flat odometer, a lazy-expansion cursor, or the DISTINCT
-  // collision fallback.
+  // graphs"). The matcher hands every sink groups, so groups_emitted and
+  // factorized_rows_represented tick on every path (a row stream's
+  // groups_emitted equals embeddings_found); rows_expanded counts rows
+  // actually materialized one by one — by a row sink's group expansion, a
+  // lazy-expansion cursor, or the DISTINCT collision fallback.
 
-  /// Solution-record groups emitted without odometer expansion.
+  /// Solution-record groups the matcher emitted.
   uint64_t groups_emitted = 0;
   /// Rows those groups represent (product of list sizes × multiplicity).
   uint64_t factorized_rows_represented = 0;
@@ -195,6 +195,24 @@ struct ExecStats {
 /// for projection slots bound by the core embedding (fixed per group).
 inline constexpr uint32_t kNoGroupList = std::numeric_limits<uint32_t>::max();
 
+/// \brief The matcher's per-row hook into a group's expansion.
+///
+/// One group can stand for millions of rows with no recursion step between
+/// them. So every group the matcher emits carries this hook
+/// (EmbeddingGroupView::poll), and ExpandGroupRows calls it before handing
+/// each row to a sink: the matcher counts the row (ExecStats::rows_expanded)
+/// and runs its amortized deadline/token poll, which reads the clock and
+/// the token once per 64 calls.
+class RowPoll {
+ public:
+  /// False once the deadline or the token fired (the matcher records
+  /// which): the expansion then stops without handing the row.
+  virtual bool NextRow() = 0;
+
+ protected:
+  ~RowPoll() = default;
+};
+
 /// \brief One factorized solution record, viewed zero-copy from the
 /// matcher's scratch.
 ///
@@ -206,42 +224,73 @@ inline constexpr uint32_t kNoGroupList = std::numeric_limits<uint32_t>::max();
 /// order over the projection. The view is valid only for the duration of
 /// OnGroup; sinks that retain it must copy.
 struct EmbeddingGroupView {
-  std::span<const VertexId> fixed;
-  std::span<const uint32_t> slot_list;
-  std::span<const std::span<const VertexId>> lists;
+  std::span<const VertexId> fixed = {};
+  std::span<const uint32_t> slot_list = {};
+  std::span<const std::span<const VertexId>> lists = {};
   /// Row repetitions contributed by non-projected satellites (bag
   /// semantics; always 1 under DISTINCT).
   uint64_t multiplicity = 1;
+  /// The matcher's hook (RowPoll); null on views built anywhere else.
+  RowPoll* poll = nullptr;
+
+  /// Rows this group represents: multiplicity × Π list sizes (saturating).
+  uint64_t Cardinality() const {
+    uint64_t card = multiplicity;
+    for (std::span<const VertexId> l : lists) {
+      card = SaturatingMul(card, l.size());
+    }
+    return card;
+  }
 };
 
-/// \brief Consumer of matcher output.
+/// One step of the expansion odometer over `lists`, digit 0 fastest. This
+/// step defines the one row order every group expansion follows: the row
+/// sinks, the DISTINCT fallback, FactorizedResult::Cursor and
+/// wire::ExpandGroups. Returns false when the odometer wraps, i.e. every
+/// combination was visited.
+template <typename Lists>
+bool OdometerStep(std::span<uint64_t> pick, const Lists& lists) {
+  for (size_t d = 0; d < pick.size(); ++d) {
+    if (++pick[d] < lists[d].size()) return true;
+    pick[d] = 0;
+  }
+  return false;
+}
+
+/// Hands every row of `g` to `on_row` in expansion order: each row
+/// `multiplicity` times in a row, then one OdometerStep. `row` and `pick`
+/// are caller-owned workspace, so a reused pair expands without
+/// allocating. Returns false as soon as `on_row` does or the view's poll
+/// reports an interrupt.
+template <typename OnRow>
+bool ExpandGroupRows(const EmbeddingGroupView& g, std::vector<VertexId>* row,
+                     std::vector<uint64_t>* pick, OnRow&& on_row) {
+  if (g.Cardinality() == 0) return true;
+  row->assign(g.fixed.begin(), g.fixed.end());
+  pick->assign(g.lists.size(), 0);
+  do {
+    for (size_t i = 0; i < g.slot_list.size(); ++i) {
+      const uint32_t sl = g.slot_list[i];
+      if (sl != kNoGroupList) (*row)[i] = g.lists[sl][(*pick)[sl]];
+    }
+    for (uint64_t m = 0; m < g.multiplicity; ++m) {
+      if (g.poll != nullptr && !g.poll->NextRow()) return false;
+      if (!on_row(std::span<const VertexId>(*row))) return false;
+    }
+  } while (OdometerStep(*pick, g.lists));
+  return true;
+}
+
+/// \brief Consumer of matcher output: one call per solution record.
 ///
-/// Engines drive a sink with either expanded rows (OnRow) or, when the sink
-/// does not need row contents, bulk counts (OnCount) that avoid the
-/// Cartesian expansion of satellite sets entirely. Both return false to
-/// stop enumeration early.
+/// Counting sinks add the group's cardinality, FactorizedSink copies it,
+/// and the row sinks expand it (RowExpandingSink).
 class EmbeddingSink {
  public:
   virtual ~EmbeddingSink() = default;
 
-  /// True if the sink needs the actual rows; false enables the counting
-  /// fast path.
-  virtual bool wants_rows() const = 0;
-
-  /// One result row; `row[i]` is the data vertex bound to projection slot i.
-  virtual bool OnRow(std::span<const VertexId> row) = 0;
-
-  /// `count` rows whose contents the sink does not need.
-  virtual bool OnCount(uint64_t count) = 0;
-
-  /// True if the sink consumes factorized groups: Emit() then calls
-  /// OnGroup once per solution record instead of expanding the odometer.
-  /// Only consulted when wants_rows() is true.
-  virtual bool wants_groups() const { return false; }
-
-  /// One factorized group (wants_groups() mode). Return false to stop
-  /// enumeration early.
-  virtual bool OnGroup(const EmbeddingGroupView&) { return true; }
+  /// One factorized group. Return false to stop enumeration early.
+  virtual bool OnGroup(const EmbeddingGroupView& group) = 0;
 };
 
 /// Counts rows without materializing them (benchmark fast path).
@@ -250,10 +299,8 @@ class CountingSink : public EmbeddingSink {
   explicit CountingSink(uint64_t cap = 0)
       : cap_(cap == 0 ? std::numeric_limits<uint64_t>::max() : cap) {}
 
-  bool wants_rows() const override { return false; }
-  bool OnRow(std::span<const VertexId>) override { return OnCount(1); }
-  bool OnCount(uint64_t count) override {
-    count_ = SaturatingAdd(count_, count);
+  bool OnGroup(const EmbeddingGroupView& group) override {
+    count_ = SaturatingAdd(count_, group.Cardinality());
     return count_ < cap_;
   }
 
@@ -264,21 +311,40 @@ class CountingSink : public EmbeddingSink {
   uint64_t cap_;
 };
 
+/// \brief Base of the sinks that consume rows: expands each group through
+/// ExpandGroupRows and hands every row to OnRow.
+class RowExpandingSink : public EmbeddingSink {
+ public:
+  bool OnGroup(const EmbeddingGroupView& group) final {
+    return ExpandGroupRows(
+        group, &row_, &pick_,
+        [this](std::span<const VertexId> row) { return OnRow(row); });
+  }
+
+ protected:
+  /// One result row; `row[i]` is the data vertex bound to projection slot
+  /// i. Return false to stop enumeration early.
+  virtual bool OnRow(std::span<const VertexId> row) = 0;
+
+ private:
+  std::vector<VertexId> row_;
+  std::vector<uint64_t> pick_;
+};
+
 /// Collects up to `cap` rows of data-vertex ids.
-class CollectingSink : public EmbeddingSink {
+class CollectingSink : public RowExpandingSink {
  public:
   explicit CollectingSink(uint64_t cap = 0)
       : cap_(cap == 0 ? std::numeric_limits<uint64_t>::max() : cap) {}
 
-  bool wants_rows() const override { return true; }
+  const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
+  std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
+
+ protected:
   bool OnRow(std::span<const VertexId> row) override {
     rows_.emplace_back(row.begin(), row.end());
     return rows_.size() < cap_;
   }
-  bool OnCount(uint64_t) override { return true; }  // unused in row mode
-
-  const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
-  std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
 
  private:
   std::vector<std::vector<VertexId>> rows_;
@@ -295,14 +361,18 @@ inline std::string RowDedupKey(std::span<const VertexId> row) {
 }
 
 /// Deduplicates projected rows (SELECT DISTINCT), optionally keeping them.
-class DistinctSink : public EmbeddingSink {
+class DistinctSink : public RowExpandingSink {
  public:
   /// `keep_rows`: retain unique rows (Materialize) or only count them.
   DistinctSink(bool keep_rows, uint64_t cap)
       : keep_rows_(keep_rows),
         cap_(cap == 0 ? std::numeric_limits<uint64_t>::max() : cap) {}
 
-  bool wants_rows() const override { return true; }
+  uint64_t count() const { return count_; }
+  const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
+  std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
+
+ protected:
   bool OnRow(std::span<const VertexId> row) override {
     if (seen_.insert(RowDedupKey(row)).second) {
       if (keep_rows_) rows_.emplace_back(row.begin(), row.end());
@@ -310,11 +380,6 @@ class DistinctSink : public EmbeddingSink {
     }
     return count_ < cap_;
   }
-  bool OnCount(uint64_t) override { return true; }
-
-  uint64_t count() const { return count_; }
-  const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
-  std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
 
  private:
   bool keep_rows_;
@@ -329,21 +394,20 @@ class DistinctSink : public EmbeddingSink {
 /// once `cap` rows were delivered (0 = no cap). The cap counts rows the
 /// callback accepted, so a cap stop means exactly "cap delivered"; a false
 /// return from the callback stops enumeration.
-class StreamingSink : public EmbeddingSink {
+class StreamingSink : public RowExpandingSink {
  public:
   using Deliver = std::function<bool(std::span<const VertexId>)>;
 
   StreamingSink(bool dedup, uint64_t cap, Deliver deliver)
       : dedup_(dedup), cap_(cap), deliver_(std::move(deliver)) {}
 
-  bool wants_rows() const override { return true; }
+ protected:
   bool OnRow(std::span<const VertexId> row) override {
     if (dedup_ && !seen_.insert(RowDedupKey(row)).second) return true;
     if (!deliver_(row)) return false;
     ++delivered_;
     return cap_ == 0 || delivered_ < cap_;
   }
-  bool OnCount(uint64_t) override { return true; }  // row mode only
 
  private:
   bool dedup_;

@@ -36,7 +36,8 @@ void AppendVertexLine(const QueryGraph& q, uint32_t u,
       for (const ValueComparison& c : pc.comparisons) {
         *out += " ";
         *out += CompareOpToken(c.op);
-        *out += " " + c.value.ToString();
+        *out += " ";
+        *out += c.value.ToString();
       }
       if (indexes != nullptr) {
         const bool pushed =

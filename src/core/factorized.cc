@@ -4,40 +4,6 @@
 
 namespace amber {
 
-namespace {
-
-/// Invokes `fn(row)` for every expansion row of `g` with multiplicity
-/// collapsed to 1 (used only by the DISTINCT fallback, where multiplicity
-/// is always 1). Odometer order: list 0 fastest — the same order the
-/// cursor and the flat Emit() produce.
-template <typename Fn>
-void ForEachGroupRow(uint32_t num_slots,
-                     const std::vector<uint32_t>& slot_list,
-                     const FactorizedResult::Group& g, Fn&& fn) {
-  for (const std::vector<VertexId>& l : g.lists) {
-    if (l.empty()) return;
-  }
-  std::vector<VertexId> row(g.fixed.begin(), g.fixed.end());
-  row.resize(num_slots);
-  std::vector<size_t> pick(g.lists.size(), 0);
-  while (true) {
-    for (uint32_t i = 0; i < num_slots; ++i) {
-      const uint32_t sl = slot_list[i];
-      if (sl != kNoGroupList) row[i] = g.lists[sl][pick[sl]];
-    }
-    fn(std::span<const VertexId>(row));
-    size_t d = 0;
-    while (d < pick.size()) {
-      if (++pick[d] < g.lists[d].size()) break;
-      pick[d] = 0;
-      ++d;
-    }
-    if (d == pick.size()) return;  // odometer wrapped: all rows visited
-  }
-}
-
-}  // namespace
-
 uint64_t FactorizedResult::Group::ByteSize() const {
   uint64_t bytes = sizeof(Group);
   bytes += fixed.size() * sizeof(VertexId);
@@ -87,16 +53,10 @@ bool FactorizedResult::Cursor::NextInGroup() {
   BuildRow();
   ++rows_expanded_;
   ++done_in_group_;
-  // Advance: repetitions first (flat Emit() repeats each row `multiplicity`
-  // times consecutively), then the odometer with digit 0 fastest.
+  // Advance: repetitions first, then one step of the shared odometer.
   if (++rep_ >= g.multiplicity) {
     rep_ = 0;
-    size_t d = 0;
-    while (d < pick_.size()) {
-      if (++pick_[d] < g.lists[d].size()) break;
-      pick_[d] = 0;
-      ++d;
-    }
+    OdometerStep(pick_, g.lists);
   }
   return true;
 }
@@ -182,12 +142,20 @@ std::string FactorizedBuilder::CoreKey(
 }
 
 uint64_t FactorizedBuilder::ExpandIntoSeen(const FactorizedResult::Group& g) {
+  const std::vector<std::span<const VertexId>> lists(g.lists.begin(),
+                                                     g.lists.end());
+  const EmbeddingGroupView view{.fixed = g.fixed,
+                                .slot_list = result_.slot_list,
+                                .lists = lists,
+                                .multiplicity = g.multiplicity};
+  std::vector<VertexId> row_buf;
+  std::vector<uint64_t> pick;
   uint64_t fresh = 0;
-  ForEachGroupRow(result_.num_slots, result_.slot_list, g,
-                  [&](std::span<const VertexId> row) {
-                    ++rows_expanded_;
-                    if (seen_.insert(RowDedupKey(row)).second) ++fresh;
-                  });
+  ExpandGroupRows(view, &row_buf, &pick, [&](std::span<const VertexId> row) {
+    ++rows_expanded_;
+    if (seen_.insert(RowDedupKey(row)).second) ++fresh;
+    return true;
+  });
   return fresh;
 }
 
@@ -238,12 +206,6 @@ FactorizedResult FactorizedBuilder::Finish() {
 // ---------------------------------------------------------------------------
 // FactorizedSink
 // ---------------------------------------------------------------------------
-
-bool FactorizedSink::OnRow(std::span<const VertexId> row) {
-  FactorizedResult::Group g;
-  g.fixed.assign(row.begin(), row.end());
-  return builder_->Add(std::move(g));
-}
 
 bool FactorizedSink::OnGroup(const EmbeddingGroupView& view) {
   FactorizedResult::Group g;

@@ -6,9 +6,9 @@
 // per-projected-satellite candidate lists) instead of expanding the
 // Cartesian product: COUNT is the saturating sum of group cardinalities,
 // LIMIT/OFFSET skips whole groups through the cursor's prefix arithmetic,
-// and expansion — when someone finally wants rows — replays Emit()'s
-// odometer order exactly, so expanded rows are bit-identical to the flat
-// enumeration.
+// and expansion — when someone finally wants rows — follows the one
+// expansion order of core/exec.h (OdometerStep), so expanded rows are
+// bit-identical to the ones Stream delivers.
 
 #ifndef AMBER_CORE_FACTORIZED_H_
 #define AMBER_CORE_FACTORIZED_H_
@@ -86,9 +86,9 @@ struct FactorizedResult {
   /// storage, not the expanded cross-product).
   uint64_t ByteSize() const;
 
-  /// \brief Forward cursor over the expansion, in exactly the flat serial
-  /// row order (list 0 advances fastest; each row repeats `multiplicity`
-  /// times consecutively; DISTINCT-flagged groups replay first-occurrence
+  /// \brief Resumable forward cursor over the expansion, in the order of
+  /// ExpandGroupRows (each row repeats `multiplicity` times consecutively,
+  /// then one OdometerStep; DISTINCT-flagged groups replay first-occurrence
   /// filtering).
   class Cursor {
    public:
@@ -188,18 +188,12 @@ class FactorizedBuilder {
 };
 
 /// Collects matcher group emissions into a FactorizedBuilder (the serial
-/// path; the parallel path runs one per chunk). Rows delivered through
-/// OnRow — ground-only queries, which never reach the group path — are
-/// wrapped as singleton groups so every query shape factorizes.
+/// path; the parallel path runs one per chunk).
 class FactorizedSink : public EmbeddingSink {
  public:
   explicit FactorizedSink(FactorizedBuilder* builder) : builder_(builder) {}
 
-  bool wants_rows() const override { return true; }
-  bool wants_groups() const override { return true; }
-  bool OnRow(std::span<const VertexId> row) override;
   bool OnGroup(const EmbeddingGroupView& view) override;
-  bool OnCount(uint64_t) override { return true; }
 
  private:
   FactorizedBuilder* builder_;

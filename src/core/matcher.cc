@@ -36,9 +36,6 @@ MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
   for (const ComponentPlan& cp : plan.components) {
     depth_base.push_back(total_depth);
     total_depth += cp.core_order.size();
-    for (const auto& sats : cp.satellites) {
-      satellite_list.insert(satellite_list.end(), sats.begin(), sats.end());
-    }
   }
   depths.resize(total_depth);
   row_buffer.resize(q.projection().size());
@@ -61,15 +58,26 @@ MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
   comp_cand_cached.assign(plan.components.size(), false);
   comp_cand_cache.resize(plan.components.size());
 
-  // Projected satellites (unique), in first-appearance order; Emit()'s
-  // odometer runs over these.
+  // Projected satellites (unique), in first-appearance order: the group
+  // lists. The other satellites repeat each row by their candidate counts
+  // (bag semantics), except under DISTINCT, where a row appears once.
   for (uint32_t u : q.projection()) {
     if (!plan.is_core[u] &&
         std::find(expand.begin(), expand.end(), u) == expand.end()) {
       expand.push_back(u);
     }
   }
-  pick.resize(expand.size());
+  if (!q.distinct()) {
+    for (const ComponentPlan& cp : plan.components) {
+      for (const std::vector<uint32_t>& sats : cp.satellites) {
+        for (uint32_t u : sats) {
+          if (std::find(expand.begin(), expand.end(), u) == expand.end()) {
+            multiplicity_sats.push_back(u);
+          }
+        }
+      }
+    }
+  }
   slot_list = BuildSlotList(q.projection(), plan.is_core);
   group_views.resize(expand.size());
 }
@@ -94,7 +102,7 @@ uint64_t MatcherScratch::ArenaBytes() const {
   }
   total += VectorBytes(sat_tmp) + VectorBytes(range_tmp) +
            VectorBytes(core_match) + VectorBytes(row_buffer) +
-           VectorBytes(pick) + nbr_scratch.ByteSize();
+           nbr_scratch.ByteSize();
   return total;
 }
 
@@ -423,91 +431,43 @@ bool Matcher::MatchSatellites(const std::vector<uint32_t>& sats, uint32_t uc,
 }
 
 Matcher::Flow Matcher::Emit() {
+  // A satellite scan the deadline or the token cut short hands back a
+  // partial list, a superset of the true one: never build a group from it.
+  if (pending_ != InterruptKind::kNone) return TakePendingInterrupt();
   ++stats_->embeddings_found;
 
-  if (!sink_->wants_rows()) {
-    // GenEmb fast path: |embeddings| = product of satellite set sizes —
-    // counting is factorized by nature, so the group counters tick here
-    // too and rows_expanded stays zero.
-    uint64_t count = 1;
-    for (uint32_t us : s_->satellite_list) {
-      count = SaturatingMul(count, s_->sat_match[us].size());
-    }
-    ++stats_->groups_emitted;
-    stats_->factorized_rows_represented =
-        SaturatingAdd(stats_->factorized_rows_represented, count);
-    return sink_->OnCount(count) ? Flow::kContinue : Flow::kStop;
-  }
-
-  // Projected satellites (expand) enumerate their sets; the multiplicity
-  // of non-projected satellites repeats rows (bag semantics) unless the
-  // sink deduplicates (DISTINCT).
+  // The solution record itself: core slots plus one candidate list per
+  // projected satellite, times the other satellites' multiplicity. The
+  // spans borrow matcher scratch — valid only during the OnGroup call.
   const std::vector<uint32_t>& proj = q_.projection();
+  for (size_t i = 0; i < proj.size(); ++i) {
+    const uint32_t u = proj[i];
+    s_->row_buffer[i] = plan_.is_core[u] ? s_->core_match[u] : kInvalidId;
+  }
+  for (size_t j = 0; j < s_->expand.size(); ++j) {
+    s_->group_views[j] = s_->sat_match[s_->expand[j]];
+  }
   uint64_t multiplicity = 1;
-  if (bag_multiplicity_) {
-    for (uint32_t us : s_->satellite_list) {
-      if (std::find(s_->expand.begin(), s_->expand.end(), us) ==
-          s_->expand.end()) {
-        multiplicity = SaturatingMul(multiplicity, s_->sat_match[us].size());
-      }
-    }
+  for (uint32_t us : s_->multiplicity_sats) {
+    multiplicity = SaturatingMul(multiplicity, s_->sat_match[us].size());
   }
+  const EmbeddingGroupView view{s_->row_buffer, s_->slot_list,
+                                s_->group_views, multiplicity, this};
+  ++stats_->groups_emitted;
+  stats_->factorized_rows_represented =
+      SaturatingAdd(stats_->factorized_rows_represented, view.Cardinality());
+  const bool more = sink_->OnGroup(view);
+  // An interrupt the expansion's poll recorded outranks the sink's answer:
+  // it never reads as a stop, and a stop never reads as an interrupt.
+  if (pending_ != InterruptKind::kNone) return TakePendingInterrupt();
+  return more ? Flow::kContinue : Flow::kStop;
+}
 
-  if (sink_->wants_groups()) {
-    // Factorized emission: hand the sink the solution record itself (core
-    // slots + per-projected-satellite candidate lists) and never enter the
-    // odometer. The spans borrow matcher scratch — valid only during the
-    // OnGroup call.
-    uint64_t card = multiplicity;
-    for (size_t i = 0; i < proj.size(); ++i) {
-      const uint32_t u = proj[i];
-      s_->row_buffer[i] = plan_.is_core[u] ? s_->core_match[u] : kInvalidId;
-    }
-    for (size_t j = 0; j < s_->expand.size(); ++j) {
-      const std::vector<VertexId>& list = s_->sat_match[s_->expand[j]];
-      s_->group_views[j] = std::span<const VertexId>(list);
-      card = SaturatingMul(card, list.size());
-    }
-    ++stats_->groups_emitted;
-    stats_->factorized_rows_represented =
-        SaturatingAdd(stats_->factorized_rows_represented, card);
-    EmbeddingGroupView view{s_->row_buffer, s_->slot_list, s_->group_views,
-                            multiplicity};
-    return sink_->OnGroup(view) ? Flow::kContinue : Flow::kStop;
-  }
-
-  // Odometer over the projected satellite sets (flat cross-product).
-  s_->pick.assign(s_->expand.size(), 0);
-  while (true) {
-    for (size_t i = 0; i < proj.size(); ++i) {
-      const uint32_t u = proj[i];
-      if (plan_.is_core[u]) {
-        s_->row_buffer[i] = s_->core_match[u];
-      } else {
-        const size_t slot = static_cast<size_t>(
-            std::find(s_->expand.begin(), s_->expand.end(), u) -
-            s_->expand.begin());
-        s_->row_buffer[i] = s_->sat_match[u][s_->pick[slot]];
-      }
-    }
-    for (uint64_t m = 0; m < multiplicity; ++m) {
-      ++stats_->rows_expanded;
-      if (!sink_->OnRow(s_->row_buffer)) return Flow::kStop;
-      // Bag multiplicity can repeat one row millions of times with no
-      // recursion in between; tick per emitted row so the Cartesian
-      // expansion honours the deadline/token too.
-      if (Flow f = CheckInterrupt(); f != Flow::kContinue) return f;
-    }
-    // Advance the odometer.
-    size_t d = 0;
-    while (d < s_->expand.size()) {
-      if (++s_->pick[d] < s_->sat_match[s_->expand[d]].size()) break;
-      s_->pick[d] = 0;
-      ++d;
-    }
-    if (d == s_->expand.size()) break;
-  }
-  return Flow::kContinue;
+bool Matcher::NextRow() {
+  PollInterrupt();
+  if (pending_ != InterruptKind::kNone) return false;
+  ++stats_->rows_expanded;
+  return true;
 }
 
 Matcher::Flow Matcher::MatchComponent(
@@ -662,7 +622,6 @@ Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
                     const RunControl& control) {
   sink_ = sink;
   stats_ = stats;
-  bag_multiplicity_ = control.bag_multiplicity;
   deadline_ = control.deadline.has_value()
                   ? *control.deadline
                   : Deadline::After(options_.timeout);
@@ -676,12 +635,8 @@ Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
   }
 
   if (plan_.components.empty()) {
-    // Fully ground query: all checks passed above.
-    if (sink_->wants_rows()) {
-      sink_->OnRow(std::span<const VertexId>{});
-    } else {
-      sink_->OnCount(1);
-    }
+    // Fully ground query: all checks passed above; its one row is empty.
+    sink_->OnGroup(EmbeddingGroupView{});
     FlushHotPathStats(stats_);
     return Status::OK();
   }

@@ -93,7 +93,6 @@ struct MatcherScratch {
 
   std::vector<VertexId> core_match;              // per query vertex
   std::vector<std::vector<VertexId>> sat_match;  // per query vertex
-  std::vector<uint32_t> satellite_list;          // all satellite vertices
   std::vector<VertexId> row_buffer;
 
   // -- Scratch arena (sized once in the constructor, grown on first use).
@@ -115,13 +114,13 @@ struct MatcherScratch {
   std::vector<bool> comp_cand_cached;
   std::vector<std::vector<VertexId>> comp_cand_cache;
 
-  // Emit() workspace: projected satellites (unique) and the odometer.
+  // Emit() workspace: projected satellites (unique, first appearance), the
+  // satellites whose candidate counts multiply a row (the non-projected
+  // ones; none under DISTINCT), per projection slot the index of its
+  // satellite's list among `expand` (kNoGroupList for core slots), and
+  // reusable span views over sat_match for the group view.
   std::vector<uint32_t> expand;
-  std::vector<size_t> pick;
-
-  // Factorized emission workspace: per projection slot, the index of its
-  // satellite's candidate list among `expand` (kNoGroupList for core
-  // slots), plus reusable span views over sat_match for OnGroup.
+  std::vector<uint32_t> multiplicity_sats;
   std::vector<uint32_t> slot_list;
   std::vector<std::span<const VertexId>> group_views;
 
@@ -146,7 +145,7 @@ struct MatcherScratch {
 /// holding every mutable buffer. Thread-safety: none — the parallel mode
 /// creates one (scratch, Matcher) pair per worker over chunk slices of the
 /// root candidates, so arenas are never shared.
-class Matcher {
+class Matcher : private RowPoll {
  public:
   /// Borrows `scratch`, which must have been constructed from the same
   /// (q, plan, options) and outlive the Matcher. Reusing one scratch across
@@ -167,10 +166,6 @@ class Matcher {
     /// subspans of one shared root list; spans are only read during the
     /// call).
     std::optional<std::span<const VertexId>> root_candidates;
-
-    /// When false (DISTINCT), identical projected rows arising from
-    /// non-projected satellite multiplicity are emitted once.
-    bool bag_multiplicity = true;
 
     /// When set, overrides the per-Run deadline (Deadline::After(timeout)).
     /// The parallel mode shares one absolute deadline across every chunk
@@ -217,11 +212,9 @@ class Matcher {
   /// Convenience overload for serial callers.
   Status Run(EmbeddingSink* sink, ExecStats* stats,
              std::optional<std::span<const VertexId>> root_candidates =
-                 std::nullopt,
-             bool bag_multiplicity = true) {
+                 std::nullopt) {
     RunControl control;
     control.root_candidates = root_candidates;
-    control.bag_multiplicity = bag_multiplicity;
     return Run(sink, stats, control);
   }
 
@@ -245,7 +238,11 @@ class Matcher {
   Flow MatchComponent(size_t ci,
                       const std::optional<std::span<const VertexId>>& root);
   Flow Recurse(size_t ci, size_t depth);
+  /// Hands the sink the current solution record as one group.
   Flow Emit();
+  /// RowPoll, lent to the expansion of every group Emit() hands out: polls
+  /// like PollInterrupt, and counts the row when nothing fired.
+  bool NextRow() override;
 
   /// Algorithm 2. Returns false when some satellite has no candidates for
   /// this assignment of `vc` to `uc`. Candidate sets are written into the
@@ -319,7 +316,6 @@ class Matcher {
   CancellationToken cancel_;
   EmbeddingSink* sink_ = nullptr;
   ExecStats* stats_ = nullptr;
-  bool bag_multiplicity_ = true;
   uint32_t deadline_tick_ = 0;
   InterruptKind pending_ = InterruptKind::kNone;
 };

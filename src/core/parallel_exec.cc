@@ -35,9 +35,8 @@ class BudgetCountingSink : public EmbeddingSink {
   BudgetCountingSink(uint64_t cap, std::atomic<uint64_t>* global)
       : cap_(cap), global_(global) {}
 
-  bool wants_rows() const override { return false; }
-  bool OnRow(std::span<const VertexId>) override { return OnCount(1); }
-  bool OnCount(uint64_t count) override {
+  bool OnGroup(const EmbeddingGroupView& group) override {
+    const uint64_t count = group.Cardinality();
     local_ = SaturatingAdd(local_, count);
     if (cap_ == 0) return true;
     // Increments are clamped to the cap so the shared counter cannot wrap
@@ -248,10 +247,6 @@ class FactorizedChunkSink : public FactorizedSink {
                       const std::atomic<uint64_t>* prefix_rows, uint64_t cap)
       : FactorizedSink(builder), prefix_rows_(prefix_rows), cap_(cap) {}
 
-  bool OnRow(std::span<const VertexId> row) override {
-    if (Shadowed()) return false;
-    return FactorizedSink::OnRow(row);
-  }
   bool OnGroup(const EmbeddingGroupView& view) override {
     if (Shadowed()) return false;
     return FactorizedSink::OnGroup(view);
@@ -442,7 +437,6 @@ Result<ParallelRunResult> RunMatcherParallel(
         // emitter's global dedup refines) so buffered duplicates never
         // occupy backpressure budget, and stops at `cap` forwarded rows:
         // no chunk can contribute more than the cap to the merged prefix.
-        control.bag_multiplicity = !distinct;
         StreamingSink sink(distinct, cap,
                            [&streamer, c](std::span<const VertexId> row) {
                              return streamer->OnRow(c, row);
@@ -463,7 +457,6 @@ Result<ParallelRunResult> RunMatcherParallel(
         // holding `cap` local-distinct rows can never owe the merge more);
         // without a cap the collision bookkeeping would be wasted work
         // (the merge recomputes it from the raw groups anyway).
-        control.bag_multiplicity = !distinct;
         FactorizedBuilder builder(factorize->num_slots, factorize->slot_list,
                                   distinct && cap != 0, cap);
         FactorizedChunkSink sink(&builder, distinct ? nullptr : &prefix_rows,

@@ -6,16 +6,32 @@ namespace amber {
 
 std::string Term::ToNTriples() const {
   switch (kind) {
-    case TermKind::kIri:
-      return "<" + EscapeNTriples(value) + ">";
-    case TermKind::kBlank:
-      return "_:" + value;
+    // Wrap the escaped value in its own buffer: ToNTriples builds every
+    // dictionary key of the encoder, where a second buffer costs a copy.
+    // (`"<" + std::string` does the same, but GCC 12 at -O3 raises a false
+    // -Wrestrict on it.)
+    case TermKind::kIri: {
+      std::string out = EscapeNTriples(value);
+      out.insert(0, 1, '<');
+      out += '>';
+      return out;
+    }
+    case TermKind::kBlank: {
+      std::string out = "_:";
+      out += value;
+      return out;
+    }
     case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeNTriples(value) + "\"";
+      std::string out = EscapeNTriples(value);
+      out.insert(0, 1, '"');
+      out += '"';
       if (!lang.empty()) {
-        out += "@" + lang;
+        out += '@';
+        out += lang;
       } else if (!datatype.empty()) {
-        out += "^^<" + EscapeNTriples(datatype) + ">";
+        out += "^^<";
+        out += EscapeNTriples(datatype);
+        out += '>';
       }
       return out;
     }

@@ -55,7 +55,8 @@ Result<NormalizedQuery> NormalizeQuery(std::string_view text) {
     auto [it, inserted] = orig_to_canon.try_emplace(*name);
     if (inserted) {
       // First appearance: assign the next canonical name.
-      it->second = "v" + std::to_string(orig_to_canon.size() - 1);
+      it->second = "v";
+      it->second += std::to_string(orig_to_canon.size() - 1);
       out.canon_to_orig.emplace(it->second, *name);
     }
     *name = it->second;

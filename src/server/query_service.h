@@ -238,8 +238,8 @@ struct RequestOptions {
 };
 
 /// One factorized solution record in transport form (all data vertices
-/// translated back to tokens). Expansion order is the odometer of
-/// core/factorized.h: lists[0] advances fastest, each emitted row repeats
+/// translated back to tokens). Expansion order is the one of core/exec.h
+/// (OdometerStep): lists[0] advances fastest, each emitted row repeats
 /// `multiplicity` times consecutively.
 struct ResultGroup {
   /// One entry per projection slot; satellite slots (those with a list

@@ -452,13 +452,8 @@ std::vector<std::vector<std::string>> ExpandGroups(
         rows.push_back(row);
       }
       if (rows.size() >= cap) break;
-      // Odometer: list 0 advances fastest (the engine's expansion order).
-      size_t d = 0;
-      for (; d < pick.size(); ++d) {
-        if (++pick[d] < g.lists[d].size()) break;
-        pick[d] = 0;
-      }
-      if (d == pick.size()) break;  // wrapped: group exhausted
+      // The engine's expansion order; a wrap means the group is exhausted.
+      if (!OdometerStep(pick, g.lists)) break;
     }
   }
   return rows;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <string>
@@ -145,6 +146,28 @@ std::vector<Triple> StarData(int n) {
   return data;
 }
 
+/// A hub `urn:x` with four `urn:p` satellites and one `urn:r` satellite,
+/// where each `urn:p` satellite carries `anchors` IRI anchors
+/// `<urn:q> <urn:aN>` — except that two of the four miss the last one.
+std::vector<Triple> AnchoredSatelliteData(int anchors) {
+  std::vector<Triple> data;
+  auto iri = [](const char* local, int n = -1) {
+    std::string name = "urn:";
+    name += local;
+    if (n >= 0) name += std::to_string(n);
+    return Term::Iri(name);
+  };
+  data.emplace_back(iri("x"), iri("r"), iri("y"));
+  for (int s = 0; s < 4; ++s) {
+    data.emplace_back(iri("x"), iri("p"), iri("s", s));
+    for (int a = 0; a < anchors; ++a) {
+      if (s >= 2 && a == anchors - 1) continue;
+      data.emplace_back(iri("s", s), iri("q"), iri("a", a));
+    }
+  }
+  return data;
+}
+
 AmberEngine MustBuild(const std::vector<Triple>& data) {
   auto engine = AmberEngine::Build(data);
   EXPECT_TRUE(engine.ok()) << engine.status();
@@ -215,6 +238,85 @@ TEST(CancellationMatcherTest, EmitMultiplicityLoopHonoursCancel) {
   EXPECT_GE(out->rows, 1u);
   EXPECT_LE(out->rows, kTickWindow + 2);
   EXPECT_EQ(out->rows, sink.rows);
+}
+
+TEST(CancellationMatcherTest, EmitMultiplicityLoopHonoursDeadline) {
+  // The deadline twin of the test above: the sink outlasts the budget on
+  // its first row, and the per-row poll inside the group's expansion must
+  // report the timeout within one window — never as a cap or a sink stop.
+  AmberEngine engine = MustBuild(StarData(500));
+  ExecOptions options;
+  options.timeout = milliseconds(200);
+  struct SlowSink : RowSink {
+    uint64_t rows = 0;
+    bool OnRow(std::span<const std::string>) override {
+      if (++rows == 1) std::this_thread::sleep_for(milliseconds(300));
+      return true;
+    }
+  } sink;
+  auto out = engine.StreamSparql(kStarQuery, options, &sink);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->stats.timed_out);
+  EXPECT_FALSE(out->stats.cancelled);
+  EXPECT_FALSE(out->stats.truncated);
+  EXPECT_FALSE(out->sink_stopped);
+  EXPECT_GE(out->rows, 1u);
+  EXPECT_LE(out->rows, kTickWindow + 2);
+  EXPECT_EQ(out->rows, sink.rows);
+}
+
+TEST(CancellationMatcherTest, InterruptedSatelliteScanEmitsNothing) {
+  // ?s carries more anchors than one tick window, so a pre-cancelled token
+  // trips inside its anchor scan. The scan then hands back a partial list:
+  // a superset of the true one, since the last anchor is the one that
+  // rules two candidates out. ?x is the last core vertex, so nothing polls
+  // between the scan and the group; the run must still report the
+  // cancellation and build no group from that list.
+  constexpr int kAnchors = 70;
+  static_assert(kAnchors > static_cast<int>(kTickWindow));
+  AmberEngine engine = MustBuild(AnchoredSatelliteData(kAnchors));
+  std::string text =
+      "SELECT ?x ?s ?y WHERE { ?x <urn:p> ?s . ?x <urn:r> ?y . ";
+  for (int a = 0; a < kAnchors; ++a) {
+    text += "?s <urn:q> <urn:a";
+    text += std::to_string(a);
+    text += "> . ";
+  }
+  text += "}";
+  auto parsed = SparqlParser::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  auto ref = engine.Materialize(*parsed, ExecOptions{});
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->rows.size(), 2u);
+  auto in_answer = [&](const std::vector<std::string>& row) {
+    return std::find(ref->rows.begin(), ref->rows.end(), row) !=
+           ref->rows.end();
+  };
+
+  CancellationSource source;
+  source.Cancel();
+  ExecOptions options;
+  options.cancel = source.token();
+
+  auto count = engine.Count(*parsed, options);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_TRUE(count->stats.cancelled);
+  EXPECT_LE(count->count, ref->rows.size());
+
+  auto rows = engine.Materialize(*parsed, options);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(rows->stats.cancelled);
+  for (const std::vector<std::string>& row : rows->rows) {
+    EXPECT_TRUE(in_answer(row));
+  }
+
+  StreamResult streamed;
+  for (const std::vector<std::string>& row :
+       testutil::StreamedRows(engine, *parsed, options, &streamed)) {
+    EXPECT_TRUE(in_answer(row));
+  }
+  EXPECT_TRUE(streamed.stats.cancelled);
 }
 
 TEST(CancellationMatcherTest, ParallelPreCancelledScanDispatchesNothing) {

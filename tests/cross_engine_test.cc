@@ -360,7 +360,7 @@ TEST(CrossEngineStarTest, StarQueriesAgree) {
 
 // Factorized differential: both engine origins (fresh build, mmap'ed AMF)
 // × serial/parallel must materialize the exact row vectors — order
-// included — that a serial Stream (the flat odometer) delivers, and the
+// included — that a serial Stream (no answer graph) delivers, and the
 // factorized handles must agree on totals. DISTINCT and tight
 // LIMIT/OFFSET queries ride along because they exercise the group-dedup
 // fallback and the truncation bookkeeping.

@@ -2,7 +2,8 @@
 // builder totals, DISTINCT duplicate dropping and collision fallback,
 // cursor order and Skip arithmetic — plus engine-level differential checks
 // that the answer graph counts, paginates and expands bit-identically to
-// Stream, the flat odometer, serially and in parallel.
+// Stream, which expands each group as the matcher emits it, serially and in
+// parallel.
 
 #include "core/factorized.h"
 
@@ -416,7 +417,7 @@ TEST_F(FactorizedEngineTest, ExplainReportsResultForm) {
 }
 
 // Random differential sweep: Materialize (the answer graph) must stay
-// bit-identical to serial Stream (the flat odometer) over random
+// bit-identical to serial Stream (no answer graph) over random
 // data/queries, serial and parallel, with and without caps.
 TEST(FactorizedDifferentialTest, RandomQueriesAgreeAcrossForms) {
   for (uint64_t seed : {41u, 42u, 43u}) {

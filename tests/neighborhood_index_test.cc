@@ -158,10 +158,15 @@ INSTANTIATE_TEST_SUITE_P(
                       OtilParam{15, 300, 2, 5}, OtilParam{50, 150, 20, 6},
                       OtilParam{8, 256, 3, 7}),
     [](const ::testing::TestParamInfo<OtilParam>& info) {
-      return "e" + std::to_string(info.param.num_entities) + "_m" +
-             std::to_string(info.param.num_edges) + "_p" +
-             std::to_string(info.param.num_predicates) + "_s" +
-             std::to_string(info.param.seed);
+      std::string name = "e";
+      name += std::to_string(info.param.num_entities);
+      name += "_m";
+      name += std::to_string(info.param.num_edges);
+      name += "_p";
+      name += std::to_string(info.param.num_predicates);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 TEST(NeighborhoodIndexTest, SaveLoadRoundTrip) {

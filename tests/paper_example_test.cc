@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <string_view>
 
 #include "core/amber_engine.h"
 #include "core/query_plan.h"
@@ -21,6 +23,15 @@ namespace {
 constexpr const char* kRes = "http://dbpedia.org/resource/";
 constexpr const char* kOnt = "http://dbpedia.org/ontology/";
 
+/// The N-Triples token of the resource `local`.
+std::string Res(std::string_view local) {
+  std::string token = "<";
+  token += kRes;
+  token += local;
+  token += '>';
+  return token;
+}
+
 class PaperExampleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -35,9 +46,7 @@ class PaperExampleTest : public ::testing::Test {
   }
 
   static VertexId V(const std::string& local) {
-    auto id = engine_->dictionaries().vertices().Find("<" +
-                                                      std::string(kRes) +
-                                                      local + ">");
+    auto id = engine_->dictionaries().vertices().Find(Res(local));
     EXPECT_TRUE(id.has_value()) << "unknown vertex " << local;
     return id.value_or(kInvalidId);
   }
@@ -216,19 +225,18 @@ TEST_F(PaperExampleTest, EndToEndEmbeddings) {
     return size_t{0};
   };
   for (const auto& row : rows->rows) {
-    EXPECT_EQ(row[col("X1")], "<" + std::string(kRes) + "London>");
-    EXPECT_EQ(row[col("X2")], "<" + std::string(kRes) + "England>");
-    EXPECT_EQ(row[col("X3")], "<" + std::string(kRes) + "Amy_Winehouse>");
-    EXPECT_EQ(row[col("X4")], "<" + std::string(kRes) + "WembleyStadium>");
-    EXPECT_EQ(row[col("X5")], "<" + std::string(kRes) + "Music_Band>");
-    EXPECT_EQ(row[col("X6")],
-              "<" + std::string(kRes) + "Blake_Fielder-Civil>");
+    EXPECT_EQ(row[col("X1")], Res("London"));
+    EXPECT_EQ(row[col("X2")], Res("England"));
+    EXPECT_EQ(row[col("X3")], Res("Amy_Winehouse"));
+    EXPECT_EQ(row[col("X4")], Res("WembleyStadium"));
+    EXPECT_EQ(row[col("X5")], Res("Music_Band"));
+    EXPECT_EQ(row[col("X6")], Res("Blake_Fielder-Civil"));
   }
   std::vector<std::string> x0s = {rows->rows[0][col("X0")],
                                   rows->rows[1][col("X0")]};
   std::sort(x0s.begin(), x0s.end());
-  EXPECT_EQ(x0s[0], "<" + std::string(kRes) + "Amy_Winehouse>");
-  EXPECT_EQ(x0s[1], "<" + std::string(kRes) + "Christopher_Nolan>");
+  EXPECT_EQ(x0s[0], Res("Amy_Winehouse"));
+  EXPECT_EQ(x0s[1], Res("Christopher_Nolan"));
 
   auto zero = engine_->CountSparql(kPaperExampleQueryLiteralFig2a, {});
   ASSERT_TRUE(zero.ok()) << zero.status();

@@ -4,7 +4,7 @@
 // serial and 2/4/8-thread execution must return
 // BIT-IDENTICAL result rows — same rows, same order — and identical
 // counts. Materialize reads the answer graph, so every shape is checked
-// against serial Stream, the flat odometer. Also pins the parallel
+// against serial Stream, which builds none. Also pins the parallel
 // ExecStats contract (threads_used / tasks_dispatched, counter
 // aggregation) and edge cases (empty results, single root candidate,
 // multi-component cross products, ground-only queries).
@@ -32,9 +32,9 @@ AmberEngine MustBuild(const std::vector<Triple>& data) {
 }
 
 /// Runs `text` serially and at 2/4/8 threads and asserts materialized rows
-/// bit-identical (order included) to the serial stream — the flat
-/// odometer, independent of the answer graph Materialize expands — plus
-/// counts that match the row count.
+/// bit-identical (order included) to the serial stream — rows expanded as
+/// the matcher emits them, independent of the answer graph Materialize
+/// expands — plus counts that match the row count.
 void CheckDeterminism(AmberEngine& engine, const std::string& text,
                       const ExecOptions& base = {}) {
   SCOPED_TRACE("query:\n" + text);

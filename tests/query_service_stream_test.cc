@@ -510,7 +510,7 @@ TEST_F(QueryServiceStreamTest, FactorizedServiceStreamsEngineRows) {
       EXPECT_EQ(sink.rows, ref->rows);
       EXPECT_EQ(resp->rows_streamed, ref->rows.size());
       EXPECT_EQ(resp->stats.bytes_factorized, 0u);
-      EXPECT_EQ(resp->stats.groups_emitted, 0u);
+      EXPECT_EQ(resp->stats.groups_emitted, resp->stats.embeddings_found);
     }
   }
 }

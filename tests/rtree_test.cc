@@ -109,9 +109,13 @@ INSTANTIATE_TEST_SUITE_P(
                       RTreeParam{5000, 20, 7}, RTreeParam{5000, 3, 8},
                       RTreeParam{20000, 10, 9}),
     [](const ::testing::TestParamInfo<RTreeParam>& info) {
-      return "n" + std::to_string(info.param.num_points) + "_r" +
-             std::to_string(info.param.coord_range) + "_s" +
-             std::to_string(info.param.seed);
+      std::string name = "n";
+      name += std::to_string(info.param.num_points);
+      name += "_r";
+      name += std::to_string(info.param.coord_range);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 TEST(RTreeTest, BulkAcceptPathIsExercised) {

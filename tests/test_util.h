@@ -108,9 +108,9 @@ inline std::vector<uint32_t> CanonicalIds(std::vector<uint32_t> ids) {
 }
 
 /// The rows `engine` streams for `query`, in delivery order. AMbER streams
-/// through the flat odometer with row-level DISTINCT, never through the
-/// answer graph, so these are the independent exact-order reference for
-/// Materialize. `result`, when non-null, receives the stream's tail.
+/// by expanding each group as the matcher emits it, with row-level
+/// DISTINCT, never through the answer graph, so these are the independent
+/// exact-order reference for Materialize. `result`, when non-null, receives the stream's tail.
 inline std::vector<std::vector<std::string>> StreamedRows(
     QueryEngine& engine, const SelectQuery& query,
     const ExecOptions& options = {}, StreamResult* result = nullptr) {
