@@ -1,5 +1,7 @@
 #include "core/amber_engine.h"
 
+#include <algorithm>
+
 #include "core/factorized.h"
 #include "core/matcher.h"
 #include "core/parallel_exec.h"
@@ -15,8 +17,7 @@ namespace amber {
 namespace {
 // The parallel mode covers every execution shape except fully ground
 // queries (no components => nothing to partition): results are
-// bit-identical to serial by the deterministic chunk-order merge of
-// parallel_exec.h.
+// bit-identical to serial by the ordered replay of parallel_exec.h.
 bool RunsParallel(const ExecOptions& options, const QueryPlan& plan) {
   return options.num_threads > 1 && !plan.components.empty();
 }
@@ -29,6 +30,23 @@ QueryPlan PlanFor(const QueryGraph& qg, const ExecOptions& options,
   return PlanQuery(qg, options.plan,
                    options.use_value_index ? &indexes.value : nullptr,
                    graph.NumVertices());
+}
+
+// Hands `sink` the matcher's groups in the serial order: through one
+// Matcher, or through the parallel stage's ordered replay, whose chunks
+// behind the head buffer up to `buffer_rows` represented rows (0 =
+// unbounded). Either way the sink alone applies DISTINCT and the cap.
+Status MatchInto(const Multigraph& graph, const IndexSet& indexes,
+                 const QueryGraph& qg, const QueryPlan& plan,
+                 const ExecOptions& options, uint64_t cap,
+                 uint64_t buffer_rows, EmbeddingSink* sink, ExecStats* stats) {
+  if (RunsParallel(options, plan)) {
+    return RunMatcherParallel(graph, indexes, qg, plan, options, cap, stats,
+                              sink, buffer_rows)
+        .status();
+  }
+  Matcher matcher(graph, indexes, qg, plan, options);
+  return matcher.Run(sink, stats);
 }
 
 std::vector<std::string> VarNames(const QueryGraph& qg) {
@@ -157,27 +175,17 @@ Result<FactorizedRows> AmberEngine::Factorize(const SelectQuery& query,
                      .Finish();
   } else {
     const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
-    std::vector<uint32_t> slot_list =
-        BuildSlotList(qg.projection(), plan.is_core);
-    if (RunsParallel(options, plan)) {
-      ParallelFactorizeRequest req;
-      req.num_slots = num_slots;
-      req.slot_list = std::move(slot_list);
-      req.out = &out.result;
-      AMBER_RETURN_IF_ERROR(RunMatcherParallel(graph_, indexes_, qg, plan,
-                                               options, cap, &stats, nullptr,
-                                               &req)
-                                .status());
-      stats.rows_expanded += req.rows_expanded;
-    } else {
-      Matcher matcher(graph_, indexes_, qg, plan, options);
-      FactorizedBuilder builder(num_slots, std::move(slot_list),
-                                qg.distinct(), cap);
-      FactorizedSink sink(&builder);
-      AMBER_RETURN_IF_ERROR(matcher.Run(&sink, &stats));
-      stats.rows_expanded += builder.rows_expanded();
-      out.result = builder.Finish();
-    }
+    FactorizedBuilder builder(num_slots,
+                              BuildSlotList(qg.projection(), plan.is_core),
+                              qg.distinct(), cap);
+    FactorizedSink sink(&builder);
+    // The answer graph is retained whole anyway: a parallel chunk may buffer
+    // up to the cap, and a tighter bound would only hold the workers behind
+    // the head.
+    AMBER_RETURN_IF_ERROR(MatchInto(graph_, indexes_, qg, plan, options, cap,
+                                    cap, &sink, &stats));
+    stats.rows_expanded += builder.rows_expanded();
+    out.result = builder.Finish();
   }
   stats.rows = cap == 0 ? out.result.total_rows
                         : std::min(out.result.total_rows, cap);
@@ -200,7 +208,7 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
   out.var_names = VarNames(qg);
 
   // Translation + forwarding. Never invoked concurrently (the serial
-  // matcher is single-threaded; the parallel fan-in serializes its
+  // matcher is single-threaded; the parallel replay serializes its
   // emitter), so one reusable text buffer suffices.
   uint64_t delivered = 0;
   std::vector<std::string> row_text;
@@ -216,21 +224,15 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
   };
 
   if (!qg.unsatisfiable()) {
-    // The row sinks expand each group as the matcher emits it: rows leave
-    // one at a time, so memory stays bounded by the chunk buffers whatever
-    // the result's size.
+    // The row sink expands each group as it arrives: rows leave one at a
+    // time, so memory stays bounded by the chunk buffers whatever the
+    // result's size.
     const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
-    if (RunsParallel(options, plan)) {
-      ParallelStreamSink stream{deliver};
-      AMBER_RETURN_IF_ERROR(RunMatcherParallel(graph_, indexes_, qg, plan,
-                                               options, cap, &out.stats,
-                                               &stream)
-                                .status());
-    } else {
-      Matcher matcher(graph_, indexes_, qg, plan, options);
-      StreamingSink ssink(qg.distinct(), cap, deliver);
-      AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats));
-    }
+    StreamingSink ssink(qg.distinct(), cap, deliver);
+    AMBER_RETURN_IF_ERROR(MatchInto(
+        graph_, indexes_, qg, plan, options, cap,
+        std::max<uint64_t>(1, options.stream_chunk_buffer_rows), &ssink,
+        &out.stats));
   }
 
   out.rows = delivered;

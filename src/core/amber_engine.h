@@ -66,10 +66,11 @@ class AmberEngine : public QueryEngine {
   Result<MaterializedRows> Materialize(const SelectQuery& query,
                                        const ExecOptions& options) override;
 
-  /// True incremental streaming: rows leave through `sink` as the matcher
-  /// finds them (serial path) or as the ordered parallel fan-in drains
-  /// them (stream mode of parallel_exec.h), in exact Materialize order,
-  /// with peak memory bounded by the chunk buffers instead of the result.
+  /// True incremental streaming: one StreamingSink expands groups into
+  /// rows as the matcher finds them (serial path) or as the parallel
+  /// stage's ordered replay hands them on (parallel_exec.h), and rows leave
+  /// through `sink` in exact Materialize order, with peak memory bounded by
+  /// the chunk buffers instead of the result.
   Result<StreamResult> Stream(const SelectQuery& query,
                               const ExecOptions& options,
                               RowSink* sink) override;

@@ -42,17 +42,21 @@ struct ExecOptions {
   /// fire and costs one pointer compare per tick.
   CancellationToken cancel;
 
-  /// Streaming mode only: rows a non-head parallel chunk may buffer before
-  /// its producer blocks for the ordered stream to catch up (bounded-memory
-  /// backpressure; docs/ARCHITECTURE.md, "Streaming & cancellation").
-  /// Ignored on the materializing and serial paths. Min 1.
+  /// Streaming mode only: represented rows (a group counts its expansion) a
+  /// parallel chunk behind the head may buffer before its producer blocks
+  /// for the ordered replay to catch up (bounded-memory backpressure;
+  /// docs/ARCHITECTURE.md, "Streaming & cancellation"). Such a chunk always
+  /// accepts one group, however large. Ignored on the serial path and by
+  /// the calls that retain their answer, which buffer up to the row cap.
+  /// Min 1.
   uint64_t stream_chunk_buffer_rows = 4096;
 
   /// Number of worker threads for root-candidate partitioning (>1 enables
   /// the parallel mode; the paper lists this as future work). The parallel
-  /// mode covers SELECT, DISTINCT, LIMIT and materialization, and returns
-  /// rows bit-identical to serial execution (deterministic chunk-order
-  /// merge; see docs/ARCHITECTURE.md, "The parallel online stage").
+  /// mode covers SELECT, DISTINCT, LIMIT, counting, factorizing and
+  /// streaming, and returns rows bit-identical to serial execution: its
+  /// ordered replay hands the result sink the serial groups in the serial
+  /// order (docs/ARCHITECTURE.md, "The parallel online stage").
   int num_threads = 1;
 
   /// When non-null, the parallel mode borrows its helper workers from this
@@ -351,10 +355,9 @@ class CollectingSink : public RowExpandingSink {
   uint64_t cap_;
 };
 
-/// Byte key identifying a projected row for DISTINCT deduplication. The
-/// parallel stream dedups across chunks with the same keys StreamingSink
-/// builds per chunk — every row-level dedup MUST use this helper so the
-/// encodings can never drift apart.
+/// Byte key identifying a projected row for DISTINCT deduplication. Every
+/// row-level dedup (the row sinks, the answer graph's DISTINCT fallback and
+/// its cursor) MUST use this helper so the encodings can never drift apart.
 inline std::string RowDedupKey(std::span<const VertexId> row) {
   return std::string(reinterpret_cast<const char*>(row.data()),
                      row.size() * sizeof(VertexId));
@@ -389,11 +392,12 @@ class DistinctSink : public RowExpandingSink {
   std::vector<std::vector<VertexId>> rows_;
 };
 
-/// Forwards rows to `deliver` as the matcher finds them: the stream mode,
-/// serially and per parallel chunk. Deduplicates under DISTINCT and stops
-/// once `cap` rows were delivered (0 = no cap). The cap counts rows the
-/// callback accepted, so a cap stop means exactly "cap delivered"; a false
-/// return from the callback stops enumeration.
+/// Forwards rows to `deliver` as groups arrive: the stream mode's one sink,
+/// fed by the matcher serially or by the parallel stage's ordered replay.
+/// Deduplicates under DISTINCT and stops once `cap` rows were delivered
+/// (0 = no cap). The cap counts rows the callback accepted, so a cap stop
+/// means exactly "cap delivered"; a false return from the callback stops
+/// enumeration.
 class StreamingSink : public RowExpandingSink {
  public:
   using Deliver = std::function<bool(std::span<const VertexId>)>;

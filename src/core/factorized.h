@@ -1,6 +1,6 @@
 // Factorized answer graphs (docs/ARCHITECTURE.md, "Factorized answer
 // graphs"): the result representation, its lazy expansion cursor, and the
-// builder shared by the serial sink and the parallel chunk merge.
+// builder its sink drives, serially and from the parallel replay alike.
 //
 // A FactorizedResult keeps each solution record as (core embedding ×
 // per-projected-satellite candidate lists) instead of expanding the
@@ -61,9 +61,9 @@ struct FactorizedResult {
     uint64_t ByteSize() const;
   };
 
-  /// Groups in emission order (= the serial matcher's order; the parallel
-  /// path concatenates chunks in chunk order, which is the same order),
-  /// less any exact duplicates DISTINCT dropped.
+  /// Groups in emission order (= the serial matcher's order, which the
+  /// parallel replay reproduces), less any exact duplicates DISTINCT
+  /// dropped.
   std::vector<Group> groups;
 
   /// Exact number of expansion rows: the saturating sum of group
@@ -135,8 +135,9 @@ struct FactorizedResult {
 
 /// \brief Accumulates groups in emission order into a FactorizedResult.
 ///
-/// One code path serves both the serial FactorizedSink and the parallel
-/// chunk merge, so the two produce identical results by construction.
+/// FactorizedSink drives it whatever the thread count: the parallel stage
+/// replays the serial groups, in the serial order, into the same sink, so
+/// serial and parallel results are identical by construction.
 ///
 /// Under DISTINCT the builder keys each group by the byte string of its
 /// core-bound slots. Distinct keys can never yield equal rows (the rows
@@ -158,8 +159,7 @@ class FactorizedBuilder {
   /// Appends one group (emission order), or drops it when DISTINCT makes
   /// it an exact duplicate. Returns false once the cap is reached — the
   /// group IS retained; the caller stops producing. Any incoming
-  /// needs_dedup flag is recomputed (chunk-local flags from a parallel run
-  /// carry no meaning across chunks).
+  /// needs_dedup flag is recomputed.
   bool Add(FactorizedResult::Group&& g);
 
   /// Exact (distinct-aware) expansion rows accumulated so far.
@@ -187,8 +187,8 @@ class FactorizedBuilder {
   std::unordered_set<std::string> seen_;
 };
 
-/// Collects matcher group emissions into a FactorizedBuilder (the serial
-/// path; the parallel path runs one per chunk).
+/// Collects group emissions into a FactorizedBuilder: the matcher's
+/// serially, or the parallel stage's ordered replay of them.
 class FactorizedSink : public EmbeddingSink {
  public:
   explicit FactorizedSink(FactorizedBuilder* builder) : builder_(builder) {}

@@ -642,6 +642,9 @@ Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
   }
 
   Flow f = MatchComponent(0, control.root_candidates);
+  // A CandInit scan cut short before it found a candidate leaves its
+  // interrupt for a check no candidate ever reached.
+  if (f == Flow::kContinue) f = TakePendingInterrupt();
   if (f == Flow::kTimeout) stats_->timed_out = true;
   if (f == Flow::kStop) stats_->truncated = true;
   if (f == Flow::kCancelled) stats_->cancelled = true;

@@ -8,10 +8,11 @@
 #include <latch>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_set>
+#include <span>
 #include <utility>
+#include <vector>
 
+#include "core/factorized.h"
 #include "core/matcher.h"
 #include "util/fault_injector.h"
 #include "util/thread_pool.h"
@@ -55,146 +56,227 @@ class BudgetCountingSink : public EmbeddingSink {
   uint64_t local_ = 0;
 };
 
-/// \brief The ordered, bounded-memory fan-in of the streaming mode.
+/// \brief The ordered replay: every chunk's groups reach the caller's sink
+/// in chunk order (== serial order), through bounded buffers.
 ///
-/// Chunk workers push rows via OnRow(chunk, row); the streamer forwards
-/// them to the consumer in exact chunk order (== serial order). The *head*
-/// chunk — the first one not yet fully drained — streams through
-/// immediately; later chunks buffer locally and their producers BLOCK once
-/// the per-chunk soft cap is hit, so peak buffered memory is bounded by
-/// O(num_chunks × buffer_rows) regardless of result cardinality.
+/// The *head* chunk — the first one not yet fully replayed — replays its
+/// groups straight from its matcher's view: its producer takes the emitter
+/// role when its chunk is the head and nothing is buffered, and keeps it
+/// until the chunk finishes. No group can be queued ahead of its own, so
+/// that path copies nothing and takes no lock per group. A chunk behind the
+/// head appends its groups to a flat record buffer, and its producer BLOCKS
+/// once the buffer holds `buffer_rows` represented rows, so peak buffered
+/// memory is O(num_chunks × buffer_rows) whatever the result's size.
 ///
-/// Single-emitter protocol: whichever thread finds the head drainable and
-/// no emitter active becomes the emitter, drains batches with the lock
-/// released, and re-checks under the lock before retiring — any row
-/// buffered meanwhile is either seen by the active emitter or pumped by
-/// its own producer after `emitting_` clears (both transitions happen
-/// under `mu_`, so no row can be stranded). Consecutive emitters hand off
-/// through `mu_`, so the consumer callback is serialized with
-/// happens-before edges despite running on different worker threads.
+/// Single-emitter protocol: the role is taken and released under `mu_`. A
+/// producer finishing the chunk whose role it holds, or finding no emitter
+/// active, drains buffered records with the lock released and re-checks
+/// under the lock before retiring — a group buffered meanwhile is either
+/// replayed by the active emitter or found by its own producer, which takes
+/// the role once `emitting_` clears. Consecutive emitters hand off through
+/// `mu_`, so the caller's sink and the emitter-private state below are
+/// serialized with happens-before edges despite running on different
+/// worker threads.
 ///
 /// Blocked producers wake on: space freed, head advance, stop, or (via
 /// bounded wait slices) deadline expiry / cancellation — a stuck consumer
 /// can therefore never deadlock a timed or cancelled query.
-class OrderedStreamer {
+class OrderedReplay : private RowPoll {
  public:
-  enum class StopReason { kNone, kConsumer, kCap, kAbort };
-
-  OrderedStreamer(size_t num_chunks, uint64_t buffer_rows, uint64_t cap,
-                  bool distinct, const Deadline& deadline,
-                  CancellationToken cancel, ParallelStreamSink* sink)
+  OrderedReplay(size_t num_chunks, uint64_t buffer_rows,
+                std::vector<uint32_t> slot_list, const Deadline& deadline,
+                CancellationToken cancel, EmbeddingSink* sink)
       : slots_(num_chunks),
-        buffer_rows_(std::max<uint64_t>(1, buffer_rows)),
-        cap_(cap),
-        distinct_(distinct),
+        buffer_rows_(buffer_rows),
+        slot_list_(std::move(slot_list)),
         deadline_(deadline),
         cancel_(std::move(cancel)),
-        sink_(sink) {}
-
-  /// Called by chunk `c`'s worker for every row it produces (chunk-locally
-  /// deduplicated already under DISTINCT). Returns false when the stream
-  /// stopped — the worker's sink unwinds its Run.
-  bool OnRow(size_t c, std::span<const VertexId> row) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (stopped_) return false;
-      // The head chunk may always buffer: its rows are immediately
-      // drainable, so its producer must never block (deadlock freedom —
-      // someone can always make progress towards draining the head).
-      if (c == head_) break;
-      if (slots_[c].buf.size() < buffer_rows_) break;
-      if (cancel_.cancelled() || deadline_.Expired()) {
-        StopLocked(StopReason::kAbort);
-        return false;
-      }
-      cv_.wait_for(lock, std::chrono::milliseconds(2));
+        sink_(sink) {
+    size_t num_lists = 0;
+    for (uint32_t sl : slot_list_) {
+      if (sl != kNoGroupList) num_lists = std::max<size_t>(num_lists, sl + 1);
     }
-    slots_[c].buf.emplace_back(row.begin(), row.end());
-    if (c == head_ && !emitting_) PumpLocked(lock);
-    return !stopped_;
+    lists_.resize(num_lists);
   }
 
-  /// Marks chunk `c` exhausted (its worker finished or skipped it).
-  void FinishChunk(size_t c) {
+  /// One group of chunk `c`, representing `rows` rows, from the chunk's
+  /// producer. `*held` is that producer's emitter role: false before its
+  /// first group, then set here once its chunk is the head. Returns false
+  /// once the replay stopped — the producer's Run unwinds.
+  bool Push(size_t c, const EmbeddingGroupView& view, uint64_t rows,
+            bool* held) {
+    if (!*held) {
+      std::unique_lock<std::mutex> lock(mu_);
+      Slot& s = slots_[c];
+      while (true) {
+        if (stopped_) return false;
+        if (c == head_) {
+          // The head never blocks (deadlock freedom: someone can always
+          // make progress towards replaying it). With an emitter active it
+          // buffers, and that emitter replays the buffer before retiring.
+          if (emitting_) break;
+          // An emitter retires only with the head's buffer empty, and the
+          // head's producer buffers only while one is active.
+          assert(s.buf.empty());
+          emitting_ = true;
+          *held = true;
+          break;
+        }
+        if (s.buf.empty() || buffer_rows_ == 0 || s.buf.rows < buffer_rows_) {
+          break;
+        }
+        if (cancel_.cancelled() || deadline_.Expired()) {
+          StopLocked(/*abort=*/true);
+          return false;
+        }
+        cv_.wait_for(lock, std::chrono::milliseconds(2));
+      }
+      if (!*held) {
+        assert(view.fixed.size() == slot_list_.size() &&
+               view.lists.size() == lists_.size());
+        s.buf.Append(view, rows);
+        return true;
+      }
+    } else if (stopped_.load(std::memory_order_acquire)) {
+      return false;  // aborted by another chunk
+    }
+    if (Deliver(view)) return true;
+    std::lock_guard<std::mutex> lock(mu_);
+    StopLocked(/*abort=*/interrupted_);
+    return false;
+  }
+
+  /// Marks chunk `c` exhausted (its producer finished or unwound). `held`:
+  /// the producer holds the emitter role, which it hands on from here.
+  void FinishChunk(size_t c, bool held) {
     std::unique_lock<std::mutex> lock(mu_);
     slots_[c].done = true;
-    if (!emitting_) PumpLocked(lock);
-    cv_.notify_all();
+    if (held || !emitting_) PumpLocked(lock);
   }
 
-  /// Stops the stream (worker error, timeout, cancellation): wakes every
-  /// blocked producer; subsequent OnRow calls return false.
+  /// Stops the replay (worker error, timeout, cancellation): wakes every
+  /// blocked producer; subsequent Push calls return false.
   void Abort() {
     std::lock_guard<std::mutex> lock(mu_);
-    StopLocked(StopReason::kAbort);
+    StopLocked(/*abort=*/true);
   }
 
-  bool stopped() const {
+  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
+
+  /// The replay was cut short by an abort or by its poll's interrupt — not
+  /// by the sink, and never after the last chunk was replayed (each abort
+  /// happens while a chunk is in flight).
+  bool aborted() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stopped_;
+    return aborted_;
   }
-  /// All chunks fully drained into the consumer.
-  bool complete() const {
+  /// Rows the replayed groups' expansions produced (ExecStats::rows_expanded).
+  uint64_t rows_expanded() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return head_ == slots_.size();
-  }
-  /// Rows delivered to the consumer (post-dedup under DISTINCT).
-  uint64_t emitted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return emitted_;
-  }
-  StopReason stop_reason() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stop_reason_;
+    return rows_expanded_;
   }
 
  private:
+  /// Buffered groups of one chunk, flat: per group, its fixed slots then
+  /// each list's ids in `ids`, and its multiplicity then each list's length
+  /// in `lens` — no allocation per group.
+  struct Records {
+    std::vector<VertexId> ids;
+    std::vector<uint64_t> lens;
+    uint64_t rows = 0;  // represented rows
+
+    bool empty() const { return lens.empty(); }
+    void Append(const EmbeddingGroupView& view, uint64_t card) {
+      ids.insert(ids.end(), view.fixed.begin(), view.fixed.end());
+      lens.push_back(view.multiplicity);
+      for (std::span<const VertexId> l : view.lists) {
+        ids.insert(ids.end(), l.begin(), l.end());
+        lens.push_back(l.size());
+      }
+      rows = SaturatingAdd(rows, card);
+    }
+    void Clear() {
+      ids.clear();
+      lens.clear();
+      rows = 0;
+    }
+  };
+
   struct Slot {
-    std::vector<std::vector<VertexId>> buf;
+    Records buf;
     bool done = false;
   };
 
-  void StopLocked(StopReason reason) {
+  // RowPoll, lent to every replayed view: the shared deadline and the token
+  // once per 64 rows, like the matcher's own poll.
+  bool NextRow() override {
+    if ((++tick_ & 63u) == 0 && (cancel_.cancelled() || deadline_.Expired())) {
+      interrupted_ = true;
+      return false;
+    }
+    ++rows_expanded_;
+    return true;
+  }
+
+  /// Emitter role only: hands `view` to the sink with this replay's poll.
+  /// False when the sink stopped or the poll recorded an interrupt, which
+  /// outranks the sink's answer, as in Matcher::Emit.
+  bool Deliver(EmbeddingGroupView view) {
+    view.poll = this;
+    const bool more = sink_->OnGroup(view);
+    return more && !interrupted_;
+  }
+
+  /// Emitter role only, lock released: replays `batch_` as views.
+  bool ReplayBatch() {
+    const std::span<const VertexId> ids(batch_.ids);
+    const size_t stride = 1 + lists_.size();
+    size_t at = 0;
+    for (size_t r = 0; r < batch_.lens.size(); r += stride) {
+      const std::span<const VertexId> fixed =
+          ids.subspan(at, slot_list_.size());
+      at += fixed.size();
+      for (size_t d = 0; d < lists_.size(); ++d) {
+        lists_[d] = ids.subspan(at, batch_.lens[r + 1 + d]);
+        at += lists_[d].size();
+      }
+      if (!Deliver({.fixed = fixed,
+                    .slot_list = slot_list_,
+                    .lists = lists_,
+                    .multiplicity = batch_.lens[r]})) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void StopLocked(bool abort) {
     if (!stopped_) {
-      stopped_ = true;
-      stop_reason_ = reason;
+      stopped_.store(true, std::memory_order_release);
+      aborted_ = abort;
     }
     cv_.notify_all();
   }
 
-  /// The emitter loop. Precondition: `lock` held, `emitting_` false.
-  /// Drains the head chunk batch-wise (lock released around the consumer
-  /// callback), advancing the head past finished chunks, until nothing is
-  /// drainable — checked under the lock *while still holding the emitter
-  /// role*, so a producer that buffered concurrently either gets drained
-  /// here or finds `emitting_` false and pumps itself.
+  /// The emitter loop. Precondition: `lock` held, and either no emitter is
+  /// active or the caller holds the role. Replays the head chunk's buffer
+  /// batch-wise (lock released around the sink), advancing the head past
+  /// finished chunks, until nothing is replayable — checked under the lock
+  /// *while still holding the role*, so a producer that buffered
+  /// concurrently either gets replayed here or finds `emitting_` false.
   void PumpLocked(std::unique_lock<std::mutex>& lock) {
     emitting_ = true;
     while (!stopped_) {
       Slot& s = slots_[head_];
       if (!s.buf.empty()) {
-        std::vector<std::vector<VertexId>> batch;
-        batch.swap(s.buf);
+        // The slot takes the spare buffer's capacity in exchange.
+        std::swap(batch_, s.buf);
         lock.unlock();
-        bool ok = true;
-        for (const std::vector<VertexId>& r : batch) {
-          if (distinct_ && !seen_.insert(RowDedupKey(r)).second) continue;
-          ++emitted_pump_;
-          if (!sink_->emit(r)) {
-            ok = false;
-            reason_pump_ = StopReason::kConsumer;
-            break;
-          }
-          if (cap_ != 0 && emitted_pump_ >= cap_) {
-            ok = false;
-            reason_pump_ = StopReason::kCap;
-            break;
-          }
-        }
+        const bool ok = ReplayBatch();
+        batch_.Clear();
         lock.lock();
-        emitted_ = emitted_pump_;
         if (!ok) {
-          StopLocked(reason_pump_);
+          StopLocked(/*abort=*/interrupted_);
           break;
         }
         cv_.notify_all();  // buffer space freed
@@ -202,11 +284,11 @@ class OrderedStreamer {
       }
       if (s.done) {
         ++head_;
-        if (head_ == slots_.size()) break;  // stream complete
-        cv_.notify_all();  // the new head may drain / stop blocking
+        if (head_ == slots_.size()) break;  // replay complete
+        cv_.notify_all();  // the new head may replay / stop blocking
         continue;
       }
-      break;  // head still running with an empty buffer: nothing to drain
+      break;  // head still running with an empty buffer: nothing to replay
     }
     emitting_ = false;
     cv_.notify_all();
@@ -215,51 +297,50 @@ class OrderedStreamer {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Slot> slots_;
-  const uint64_t buffer_rows_;
-  const uint64_t cap_;
-  const bool distinct_;
+  const uint64_t buffer_rows_;  // 0 = unbounded
+  const std::vector<uint32_t> slot_list_;
   const Deadline deadline_;
   const CancellationToken cancel_;
-  ParallelStreamSink* const sink_;
+  EmbeddingSink* const sink_;
 
-  size_t head_ = 0;       // first chunk not fully drained
+  size_t head_ = 0;        // first chunk not fully replayed
   bool emitting_ = false;  // a thread currently owns the emitter role
-  bool stopped_ = false;
-  StopReason stop_reason_ = StopReason::kNone;
-  uint64_t emitted_ = 0;
-  // Emitter-private mirrors, touched only while holding the emitter role
-  // (updated without the lock during a batch, published under it).
-  uint64_t emitted_pump_ = 0;
-  StopReason reason_pump_ = StopReason::kNone;
-  std::unordered_set<std::string> seen_;  // DISTINCT global dedup
+  // Written under mu_; read without it by the producer holding the role.
+  std::atomic<bool> stopped_{false};
+  bool aborted_ = false;
+  // Emitter-private: touched only while holding the role, without the
+  // lock; the role's hand-off under mu_ publishes them.
+  Records batch_;
+  std::vector<std::span<const VertexId>> lists_;
+  uint32_t tick_ = 0;
+  bool interrupted_ = false;
+  uint64_t rows_expanded_ = 0;
 };
 
-/// Factorized chunk sink: groups flow into the chunk-local builder, and
-/// the chunk stops once the finished prefix of earlier chunks already
-/// covers the cap in represented-row units — those rows shadow anything
-/// this chunk could contribute, so stopping cannot change the merged
-/// output (the ordered early-cutoff of the determinism contract;
-/// non-DISTINCT only — DISTINCT chunks pass a null prefix and rely on
-/// their builder's exact local total).
-class FactorizedChunkSink : public FactorizedSink {
+/// One chunk's producer: pushes its groups into the replay. `cap` (0 =
+/// none) stops the chunk once it produced that many rows — without
+/// DISTINCT no chunk can contribute more to the serial answer.
+class ChunkSink : public EmbeddingSink {
  public:
-  FactorizedChunkSink(FactorizedBuilder* builder,
-                      const std::atomic<uint64_t>* prefix_rows, uint64_t cap)
-      : FactorizedSink(builder), prefix_rows_(prefix_rows), cap_(cap) {}
+  ChunkSink(OrderedReplay* replay, size_t chunk, uint64_t cap)
+      : replay_(replay), chunk_(chunk), cap_(cap) {}
 
   bool OnGroup(const EmbeddingGroupView& view) override {
-    if (Shadowed()) return false;
-    return FactorizedSink::OnGroup(view);
+    const uint64_t rows = view.Cardinality();
+    if (!replay_->Push(chunk_, view, rows, &held_)) return false;
+    produced_ = SaturatingAdd(produced_, rows);
+    return cap_ == 0 || produced_ < cap_;
   }
+
+  /// The producer holds the replay's emitter role.
+  bool held() const { return held_; }
 
  private:
-  bool Shadowed() const {
-    return cap_ != 0 && prefix_rows_ != nullptr &&
-           prefix_rows_->load(std::memory_order_acquire) >= cap_;
-  }
-
-  const std::atomic<uint64_t>* prefix_rows_;
+  OrderedReplay* replay_;
+  size_t chunk_;
   uint64_t cap_;
+  bool held_ = false;
+  uint64_t produced_ = 0;
 };
 
 }  // namespace
@@ -267,12 +348,8 @@ class FactorizedChunkSink : public FactorizedSink {
 Result<ParallelRunResult> RunMatcherParallel(
     const Multigraph& g, const IndexSet& indexes, const QueryGraph& q,
     const QueryPlan& plan, const ExecOptions& options, uint64_t cap,
-    ExecStats* stats, ParallelStreamSink* stream,
-    ParallelFactorizeRequest* factorize) {
-  const bool distinct = q.distinct();
-  const bool streaming = stream != nullptr;
-  const bool factorizing = factorize != nullptr;
-  assert(streaming || factorizing || !distinct);
+    ExecStats* stats, EmbeddingSink* ordered, uint64_t buffer_rows) {
+  assert(ordered != nullptr || !q.distinct());
 
   // ONE absolute deadline for the whole query, shared by every chunk Run:
   // ExecOptions::timeout is a per-query budget, exactly as in serial mode.
@@ -315,47 +392,23 @@ Result<ParallelRunResult> RunMatcherParallel(
   const size_t chunk_size = (root.size() + target_chunks - 1) / target_chunks;
   const size_t num_chunks = (root.size() + chunk_size - 1) / chunk_size;
 
-  // Per-chunk output slots: written by exactly one worker, read after the
-  // pool barrier (ThreadPool::Wait provides the happens-before edge).
-  struct ChunkOut {
-    uint64_t count = 0;     // counting mode
-    FactorizedResult fact;  // factorized mode
-  };
-  std::vector<ChunkOut> chunks(num_chunks);
+  // Per-worker outputs: written by exactly one worker, read after the pool
+  // barrier (the latch / ThreadPool::Wait provides the happens-before edge).
+  std::vector<uint64_t> worker_rows(num_workers, 0);  // counting mode
   std::vector<ExecStats> worker_stats(num_workers);
   std::vector<Status> worker_status(num_workers);
 
   std::atomic<size_t> next_chunk{0};
   // Counting budget: rows counted by the whole fleet (counting mode only).
   std::atomic<uint64_t> counted{0};
-  // Ordered cutoff state, read by the factorized mode: rows produced by
-  // the longest fully-finished prefix of chunks. Guarded by prefix_mu;
-  // published via prefix_rows.
-  std::mutex prefix_mu;
-  std::vector<uint8_t> chunk_done(num_chunks, 0);
-  std::vector<uint64_t> chunk_row_counts(num_chunks, 0);
-  size_t prefix_next = 0;
-  uint64_t prefix_total = 0;
-  std::atomic<uint64_t> prefix_rows{0};
 
-  // Streaming fan-in (stream mode only): ordered delivery with per-chunk
-  // bounded buffers; replaces the materialize-then-merge machinery.
-  std::optional<OrderedStreamer> streamer;
-  if (streaming) {
-    streamer.emplace(num_chunks, options.stream_chunk_buffer_rows, cap,
-                     distinct, deadline, options.cancel, stream);
+  std::optional<OrderedReplay> replay;
+  if (ordered != nullptr) {
+    replay.emplace(num_chunks, buffer_rows,
+                   BuildSlotList(q.projection(), plan.is_core), deadline,
+                   options.cancel, ordered);
   }
-
-  auto finish_chunk = [&](size_t c, uint64_t rows_produced) {
-    std::lock_guard<std::mutex> lock(prefix_mu);
-    chunk_row_counts[c] = rows_produced;
-    chunk_done[c] = 1;
-    while (prefix_next < num_chunks && chunk_done[prefix_next]) {
-      prefix_total = SaturatingAdd(prefix_total, chunk_row_counts[prefix_next]);
-      ++prefix_next;
-    }
-    prefix_rows.store(prefix_total, std::memory_order_release);
-  };
+  const uint64_t chunk_cap = q.distinct() ? 0 : cap;
 
   auto worker = [&](size_t wi) {
     // One scratch arena per worker, reused across every chunk it claims:
@@ -376,50 +429,30 @@ Result<ParallelRunResult> RunMatcherParallel(
         } else {
           worker_stats[wi].timed_out = true;
         }
-        if (streaming) streamer->Abort();
+        if (replay) replay->Abort();
         break;
       }
-      // A stopped stream (consumer stop / cap / abort) shadows every
-      // remaining chunk.
-      if (streaming && streamer->stopped()) break;
+      // A stopped replay (sink stop / abort) shadows every remaining chunk.
+      if (replay && replay->stopped()) break;
       // Per-chunk fault site: a firing poisons this worker's status (the
-      // whole query fails, exactly like an organic chunk error) but still
-      // marks the chunk finished so sibling workers' prefix accounting
-      // never deadlocks on it.
+      // whole query fails, exactly like an organic chunk error) and stops
+      // the replay before any later chunk's groups can pass this one.
       if (Status fault =
               FaultInjector::Global().Inject(faults::kParallelChunk);
           !fault.ok()) {
         worker_status[wi] = std::move(fault);
-        if (streaming) {
-          // Abort BEFORE marking the chunk done: FinishChunk on a live
-          // stream could advance the head past this (rowless) chunk and
-          // emit a later chunk's rows, breaking the prefix guarantee.
-          streamer->Abort();
-          streamer->FinishChunk(c);
-        } else {
-          finish_chunk(c, 0);
-        }
+        if (replay) replay->Abort();
         break;
       }
       const size_t begin = c * chunk_size;
       const size_t end = std::min(root.size(), begin + chunk_size);
       const std::span<const VertexId> slice(root.data() + begin, end - begin);
 
-      // Early cutoff. Counting: once the fleet has counted `cap` rows the
+      // Counting's early cutoff: once the fleet has counted `cap` rows the
       // result is pinned at the cap, so remaining chunks are moot.
-      // Factorizing: a chunk is shadowed only when *earlier* chunks (a
-      // superset of the finished prefix, which never reaches an in-flight
-      // chunk) already hold the cap. DISTINCT chunks always run:
-      // cross-chunk duplicates make their contribution unknowable here.
-      if (!streaming && cap != 0 && !distinct) {
-        const bool moot =
-            factorizing
-                ? prefix_rows.load(std::memory_order_acquire) >= cap
-                : counted.load(std::memory_order_relaxed) >= cap;
-        if (moot) {
-          finish_chunk(c, 0);
-          continue;
-        }
+      if (!replay && cap != 0 &&
+          counted.load(std::memory_order_relaxed) >= cap) {
+        continue;
       }
 
       Matcher::RunControl control;
@@ -428,63 +461,31 @@ Result<ParallelRunResult> RunMatcherParallel(
       control.skip_ground_checks = true;  // gated once, before dispatch
 
       Status status;
-      uint64_t produced = 0;
-      if (streaming) {
-        // Stream mode: rows flow straight into the ordered fan-in (which
-        // enforces order, backpressure, the cap, and — under DISTINCT —
-        // the global dedup); the prefix machinery is idle here. The chunk
-        // pre-deduplicates locally (first-occurrence order, which the
-        // emitter's global dedup refines) so buffered duplicates never
-        // occupy backpressure budget, and stops at `cap` forwarded rows:
-        // no chunk can contribute more than the cap to the merged prefix.
-        StreamingSink sink(distinct, cap,
-                           [&streamer, c](std::span<const VertexId> row) {
-                             return streamer->OnRow(c, row);
-                           });
+      if (replay) {
+        ChunkSink sink(&*replay, c, chunk_cap);
         status = matcher.Run(&sink, &worker_stats[wi], control);
         // A chunk cut short by an error or an interrupt is not exhausted:
         // abort BEFORE marking it done, or the head could advance past its
-        // missing rows and emit a later chunk's, breaking the prefix.
+        // missing groups and replay a later chunk's.
         if (!status.ok() || worker_stats[wi].timed_out ||
             worker_stats[wi].cancelled) {
-          streamer->Abort();
+          replay->Abort();
         }
-        streamer->FinishChunk(c);
-      } else if (factorizing) {
-        // Factorized mode: collect raw groups chunk-locally. The chunk
-        // builder is DISTINCT-aware only when a cap can stop it early —
-        // its exact local total is what makes that stop safe (a chunk
-        // holding `cap` local-distinct rows can never owe the merge more);
-        // without a cap the collision bookkeeping would be wasted work
-        // (the merge recomputes it from the raw groups anyway).
-        FactorizedBuilder builder(factorize->num_slots, factorize->slot_list,
-                                  distinct && cap != 0, cap);
-        FactorizedChunkSink sink(&builder, distinct ? nullptr : &prefix_rows,
-                                 cap);
-        status = matcher.Run(&sink, &worker_stats[wi], control);
-        worker_stats[wi].rows_expanded += builder.rows_expanded();
-        chunks[c].fact = builder.Finish();
-        produced = chunks[c].fact.total_rows;
+        replay->FinishChunk(c, sink.held());
       } else {
         BudgetCountingSink sink(cap, &counted);
         status = matcher.Run(&sink, &worker_stats[wi], control);
-        chunks[c].count = sink.count();
-        produced = chunks[c].count;
+        worker_rows[wi] = SaturatingAdd(worker_rows[wi], sink.count());
       }
-      if (!streaming) finish_chunk(c, produced);
       if (!status.ok()) {
         worker_status[wi] = std::move(status);
-        if (streaming) streamer->Abort();
         break;
       }
       // Once the shared deadline fired (or the token tripped) there is no
       // point claiming further chunks; sibling workers notice the same
       // interrupt on their next claim or within one check interval inside
       // Run.
-      if (worker_stats[wi].timed_out || worker_stats[wi].cancelled) {
-        if (streaming) streamer->Abort();
-        break;
-      }
+      if (worker_stats[wi].timed_out || worker_stats[wi].cancelled) break;
     }
   };
 
@@ -529,21 +530,21 @@ Result<ParallelRunResult> RunMatcherParallel(
     AMBER_RETURN_IF_ERROR(worker_status[w]);
     // initial_candidates was attributed to the root computation above.
     worker_stats[w].initial_candidates = 0;
+    // A chunk the replay stopped is not a truncation: the caller's sink
+    // decides that, exactly as serially.
+    if (replay) worker_stats[w].truncated = false;
     stats->MergeFrom(worker_stats[w]);
   }
   stats->threads_used = std::max<uint64_t>(stats->threads_used, num_workers);
   stats->tasks_dispatched += num_chunks;
 
-  if (streaming) {
-    // Rows already left through the sink in serial order; only classify.
-    out.rows = streamer->emitted();
-    out.truncated = cap != 0 && out.rows >= cap;
-    if (!streamer->complete() && !out.truncated &&
-        streamer->stop_reason() != OrderedStreamer::StopReason::kConsumer) {
-      // The stream was cut short by neither the consumer nor the cap:
-      // attribute the partial prefix to the token or the deadline (covers
-      // producers that unwound through a sink-stop before their own tick
-      // check could classify the interrupt).
+  if (replay) {
+    stats->rows_expanded += replay->rows_expanded();
+    if (replay->aborted()) {
+      // The replay was cut short by neither the sink nor the end of the
+      // answer: attribute it to the token or the deadline (covers the
+      // replay's own poll and producers that unwound through a stop
+      // before their own tick check could classify the interrupt).
       if (options.cancel.cancelled()) {
         stats->cancelled = true;
       } else if (deadline.Expired()) {
@@ -553,40 +554,10 @@ Result<ParallelRunResult> RunMatcherParallel(
     return out;
   }
 
-  if (factorizing) {
-    // Re-feed every chunk's groups, in chunk order, through one global
-    // builder — the code path the serial FactorizedSink drives — so
-    // collision flags, exact totals and the cap cut land identically to a
-    // serial run. A chunk that stopped early always holds at least as many
-    // (distinct) rows as the merge can still take below the cap, so the
-    // merge never runs out of groups it would have needed.
-    FactorizedBuilder merged(factorize->num_slots, factorize->slot_list,
-                             distinct, cap);
-    bool open = true;
-    for (ChunkOut& chunk : chunks) {
-      if (!open) break;
-      for (FactorizedResult::Group& grp : chunk.fact.groups) {
-        if (!merged.Add(std::move(grp))) {
-          open = false;
-          break;
-        }
-      }
-    }
-    factorize->rows_expanded = merged.rows_expanded();
-    FactorizedResult merged_result = merged.Finish();
-    out.rows = cap == 0 ? merged_result.total_rows
-                        : std::min(merged_result.total_rows, cap);
-    out.truncated = merged_result.truncated;
-    *factorize->out = std::move(merged_result);
-    return out;
-  }
-
   // Counting: the sum is order-free; `truncated` mirrors the serial sink,
   // set exactly when the total reaches the cap.
   uint64_t total = 0;
-  for (const ChunkOut& chunk : chunks) {
-    total = SaturatingAdd(total, chunk.count);
-  }
+  for (uint64_t rows : worker_rows) total = SaturatingAdd(total, rows);
   if (cap != 0 && total >= cap) {
     total = cap;
     out.truncated = true;

@@ -15,32 +15,22 @@
 // Otherwise a transient pool is spawned for this query and torn down at the
 // end, exactly as before.
 //
-// Three modes: non-DISTINCT counting, factorizing (the answer graph every
-// retained result is read from) and streaming.
+// Two modes: the ordered replay and the order-free count.
 //
-// Determinism contract: for every combination of SELECT / DISTINCT / LIMIT
-// and every mode, the parallel mode returns rows (and counts)
-// BIT-IDENTICAL to serial execution. Serial enumeration visits root
-// candidates in CandInit order, so concatenating per-chunk results in
-// chunk order reproduces the serial row order exactly; DISTINCT replays
-// the chunks through one ordered global dedup; LIMIT takes the ordered
-// prefix. A shared row budget provides early cutoff without breaking the
-// contract: a chunk may only be skipped or stopped when chunks strictly
-// *before* it have already produced the full row cap (their rows shadow
-// everything this chunk could contribute). The only nondeterministic case
-// is a timeout — exactly as in serial execution, a timed-out query reports
-// partial results and stats.timed_out.
+// Determinism contract (ordered replay): the caller's sink receives the
+// serial run's groups, in the serial order. Serial enumeration visits root
+// candidates in CandInit order, so replaying the chunks' groups in chunk
+// order reproduces it exactly; DISTINCT, LIMIT and expansion are then the
+// sink's, the same code whatever the thread count. The only
+// nondeterministic case is a timeout — exactly as in serial execution, a
+// timed-out query reports partial results and stats.timed_out.
 
 #ifndef AMBER_CORE_PARALLEL_EXEC_H_
 #define AMBER_CORE_PARALLEL_EXEC_H_
 
 #include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
 
 #include "core/exec.h"
-#include "core/factorized.h"
 #include "graph/multigraph.h"
 #include "index/index_set.h"
 #include "sparql/query_graph.h"
@@ -48,72 +38,52 @@
 
 namespace amber {
 
-/// Outcome of a parallel matching run.
+/// Outcome of an order-free parallel count.
 struct ParallelRunResult {
-  /// Result rows (bag semantics; distinct rows under DISTINCT), capped.
+  /// Result rows (bag semantics), capped.
   uint64_t rows = 0;
   /// True when the row cap stopped enumeration early (matches the serial
   /// sinks: set exactly when the cap was reached).
   bool truncated = false;
 };
 
-/// \brief Streaming consumer for RunMatcherParallel (the engine Stream
-/// path).
+/// Runs the matcher across `options.num_threads` workers. `cap` is the
+/// effective row cap (0 = unlimited).
 ///
-/// Rows arrive in the EXACT serial order (the deterministic chunk-order
-/// contract): each chunk's finished prefix is streamed as soon as every
-/// earlier chunk has fully drained, while later chunks buffer at most
-/// ExecOptions::stream_chunk_buffer_rows rows before their producer blocks
-/// (bounded-memory backpressure). `emit` is invoked from worker threads but
-/// never concurrently (the internal single-emitter protocol serializes it
-/// and hands off with a happens-before edge); return false to stop the
-/// stream — remaining workers unwind like a row-cap stop.
-struct ParallelStreamSink {
-  std::function<bool(std::span<const VertexId>)> emit;
-};
-
-/// \brief Factorized output mode of RunMatcherParallel.
+/// With `ordered` set, every chunk's groups are replayed into it in chunk
+/// order, which is the serial order, so `ordered` sees exactly what a
+/// serial Matcher::Run would hand it. It is called from worker threads but
+/// never concurrently (one thread at a time holds the emitter role, handed
+/// on under a mutex). A chunk behind the head buffers its groups, up to
+/// `buffer_rows` represented rows (0 = unbounded; a chunk always accepts one
+/// group, however large) before its producer blocks. Without DISTINCT a
+/// chunk stops once it produced `cap` rows. The sink decides truncation:
+/// the returned ParallelRunResult is empty and stats->truncated is left
+/// alone.
 ///
-/// Each chunk collects raw groups through its own FactorizedBuilder (the
-/// shared row budget charged in group-cardinality units); the merge then
-/// re-feeds every chunk's groups, in chunk order, through ONE global
-/// builder — the exact code path the serial FactorizedSink drives — so the
-/// merged result (collision flags, totals, cap cut) and its expansion are
-/// identical to a serial factorized run by construction.
-struct ParallelFactorizeRequest {
-  /// Projection slots per row and the per-slot list mapping (BuildSlotList).
-  uint32_t num_slots = 0;
-  std::vector<uint32_t> slot_list;
-  /// Receives the merged result.
-  FactorizedResult* out = nullptr;
-  /// Out: rows the merge-time DISTINCT collision fallback expanded
-  /// (chunk-local expansions are already in the merged worker stats).
-  uint64_t rows_expanded = 0;
-};
-
-/// Runs the matcher across `options.num_threads` workers and merges
-/// deterministically. `cap` is the effective row cap (0 = unlimited).
-/// When `stream` is non-null rows are pushed into it incrementally, in
-/// serial order; when `factorize` is non-null the result is retained as a
-/// factorized answer graph; with neither, rows are counted — a mode only
-/// for non-DISTINCT queries (the engine counts DISTINCT through the answer
-/// graph). At most one of the two may be set. Requires a satisfiable query
-/// with at least one component (the engine keeps ground-only queries on
-/// the serial path) and `options.num_threads > 1`.
+/// With `ordered` null, rows are counted in any order — a mode only for
+/// non-DISTINCT queries (the engine counts DISTINCT through the answer
+/// graph).
+///
+/// Requires a satisfiable query with at least one component (the engine
+/// keeps ground-only queries on the serial path) and
+/// `options.num_threads > 1`.
 ///
 /// Cancellation: ExecOptions::cancel is observed at chunk claiming (chunks
-/// not yet claimed are never started) and inside every chunk Run; a
-/// cancelled query returns partial results with stats->cancelled set, like
-/// a timeout.
+/// not yet claimed are never started), inside every chunk Run and, once
+/// per 64 rows, in the expansion of every replayed group; a cancelled
+/// query returns partial results with stats->cancelled set, like a
+/// timeout.
 ///
 /// Stats: per-counter sums over workers, max for peak_arena_bytes, plus
 /// threads_used / tasks_dispatched; initial_candidates is attributed once
-/// (to the root CandInit computation), as in serial execution.
+/// (to the root CandInit computation), as in serial execution. In the
+/// ordered mode rows_expanded counts the rows the replay expanded.
 Result<ParallelRunResult> RunMatcherParallel(
     const Multigraph& g, const IndexSet& indexes, const QueryGraph& q,
     const QueryPlan& plan, const ExecOptions& options, uint64_t cap,
-    ExecStats* stats, ParallelStreamSink* stream = nullptr,
-    ParallelFactorizeRequest* factorize = nullptr);
+    ExecStats* stats, EmbeddingSink* ordered = nullptr,
+    uint64_t buffer_rows = 0);
 
 }  // namespace amber
 

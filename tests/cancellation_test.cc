@@ -208,6 +208,41 @@ TEST(CancellationMatcherTest, PreCancelledAblationScanStopsWithinTickWindow) {
   EXPECT_LE(out->rows.size(), kTickWindow);
 }
 
+TEST(CancellationMatcherTest, PreCancelledAblationScanWithNoCandidateYet) {
+  // The only `urn:p1` subject comes after 200 vertices, so a pre-cancelled
+  // ablation-B scan breaks within one tick window with no candidate yet.
+  // The run never reaches a candidate to check the interrupt on; it must
+  // still report it instead of a complete empty answer.
+  std::vector<Triple> data = CycleData(200);
+  data.emplace_back(Term::Iri("urn:x"), Term::Iri("urn:p1"),
+                    Term::Iri("urn:y"));
+  AmberEngine engine = MustBuild(data);
+  constexpr char kQuery[] = "SELECT ?a ?b WHERE { ?a <urn:p1> ?b . }";
+  auto parsed = SparqlParser::Parse(kQuery);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  ExecOptions full;
+  full.use_signature_index = false;  // ablation B: full synopsis scan
+  auto ref = engine.Materialize(*parsed, full);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->rows.size(), 1u);
+
+  CancellationSource source;
+  source.Cancel();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecOptions options = full;
+    options.num_threads = threads;
+    options.cancel = source.token();
+    auto count = engine.Count(*parsed, options);
+    ASSERT_TRUE(count.ok()) << count.status();
+    EXPECT_TRUE(count->stats.cancelled);
+    auto rows = engine.Materialize(*parsed, options);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_TRUE(rows->stats.cancelled);
+  }
+}
+
 TEST(CancellationMatcherTest, EmitMultiplicityLoopHonoursCancel) {
   AmberEngine engine = MustBuild(StarData(500));
 
@@ -246,6 +281,32 @@ TEST(CancellationMatcherTest, EmitMultiplicityLoopHonoursDeadline) {
   // report the timeout within one window — never as a cap or a sink stop.
   AmberEngine engine = MustBuild(StarData(500));
   ExecOptions options;
+  options.timeout = milliseconds(200);
+  struct SlowSink : RowSink {
+    uint64_t rows = 0;
+    bool OnRow(std::span<const std::string>) override {
+      if (++rows == 1) std::this_thread::sleep_for(milliseconds(300));
+      return true;
+    }
+  } sink;
+  auto out = engine.StreamSparql(kStarQuery, options, &sink);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->stats.timed_out);
+  EXPECT_FALSE(out->stats.cancelled);
+  EXPECT_FALSE(out->stats.truncated);
+  EXPECT_FALSE(out->sink_stopped);
+  EXPECT_GE(out->rows, 1u);
+  EXPECT_LE(out->rows, kTickWindow + 2);
+  EXPECT_EQ(out->rows, sink.rows);
+}
+
+TEST(CancellationMatcherTest, ParallelReplayHonoursDeadline) {
+  // The parallel twin of the test above: the replay lends every view its
+  // own poll, which must report the timeout within one window — never as a
+  // cap, a sink stop or a cancellation.
+  AmberEngine engine = MustBuild(StarData(500));
+  ExecOptions options;
+  options.num_threads = 4;
   options.timeout = milliseconds(200);
   struct SlowSink : RowSink {
     uint64_t rows = 0;

@@ -57,6 +57,9 @@ std::vector<std::string> QueryTexts(const std::vector<Triple>& data) {
       "SELECT DISTINCT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . }");
   texts.push_back(
       "SELECT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . } LIMIT 7");
+  // A star: groups of several rows each.
+  texts.push_back(
+      "SELECT ?x ?a ?b WHERE { ?x <urn:p0> ?a . ?x <urn:p1> ?b . }");
   return texts;
 }
 

@@ -346,29 +346,45 @@ TEST_F(FactorizedEngineTest, DeepOffsetPageExpandsOnlyTheBoundary) {
 }
 
 TEST_F(FactorizedEngineTest, ParallelFactorizedMatchesSerial) {
+  // The parallel answer graph must be the serial one group by group: the
+  // one builder sees the serial groups in the serial order, including the
+  // DISTINCT collisions of the fixture's shared objects.
   for (const char* text :
        {kTwoSatelliteQuery,
         "SELECT DISTINCT ?a WHERE { ?c <urn:p0> ?a . }",
+        "SELECT DISTINCT ?a WHERE { ?c <urn:p0> ?a . } LIMIT 6",
         "SELECT ?c ?a WHERE { ?c <urn:p0> ?a . } LIMIT 9"}) {
     SCOPED_TRACE(text);
     SelectQuery q = Parse(text);
     ExecOptions serial;
-    ExecOptions par;
-    par.num_threads = 3;
-
     auto sf = engine_->Factorize(q, serial);
-    auto pf = engine_->Factorize(q, par);
-    ASSERT_TRUE(sf.ok());
-    ASSERT_TRUE(pf.ok());
-    EXPECT_EQ(pf->result.total_rows, sf->result.total_rows);
-    EXPECT_EQ(pf->result.groups.size(), sf->result.groups.size());
-    EXPECT_EQ(AllRows(pf->result), AllRows(sf->result));
-
     auto sm = engine_->Materialize(q, serial);
-    auto pm = engine_->Materialize(q, par);
+    ASSERT_TRUE(sf.ok());
     ASSERT_TRUE(sm.ok());
-    ASSERT_TRUE(pm.ok());
-    EXPECT_EQ(pm->rows, sm->rows);
+    for (int threads : {2, 3, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExecOptions par;
+      par.num_threads = threads;
+      auto pf = engine_->Factorize(q, par);
+      ASSERT_TRUE(pf.ok());
+      EXPECT_EQ(pf->result.total_rows, sf->result.total_rows);
+      EXPECT_EQ(pf->result.represented_rows, sf->result.represented_rows);
+      EXPECT_EQ(pf->result.truncated, sf->result.truncated);
+      EXPECT_EQ(pf->result.needs_row_dedup, sf->result.needs_row_dedup);
+      ASSERT_EQ(pf->result.groups.size(), sf->result.groups.size());
+      for (size_t i = 0; i < sf->result.groups.size(); ++i) {
+        const FactorizedResult::Group& want = sf->result.groups[i];
+        const FactorizedResult::Group& got = pf->result.groups[i];
+        EXPECT_EQ(got.lists, want.lists) << "group " << i;
+        EXPECT_EQ(got.multiplicity, want.multiplicity) << "group " << i;
+        EXPECT_EQ(got.needs_dedup, want.needs_dedup) << "group " << i;
+      }
+      EXPECT_EQ(AllRows(pf->result), AllRows(sf->result));
+
+      auto pm = engine_->Materialize(q, par);
+      ASSERT_TRUE(pm.ok());
+      EXPECT_EQ(pm->rows, sm->rows);
+    }
   }
 }
 
