@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the three index structures and
-// the hot-path intersection kernels: R-tree dominance query vs full
-// synopsis scan, OTIL superset query vs adjacency-group scan vs per-
-// candidate Contains probes, attribute-list intersection, and the
-// merge/gallop/k-way kernels of util/intersect.h against the naive
-// std::set_intersection baseline. These quantify the per-operation
-// speedups that the ablation and figure benches observe end-to-end.
+// the hot-path intersection kernels: R-tree dominance query vs a constant
+// list filtered by dominance vs full synopsis scan, OTIL superset query vs
+// adjacency-group scan vs per-candidate Contains probes, attribute-list
+// intersection, and the merge/gallop/k-way kernels of util/intersect.h
+// against the naive std::set_intersection baseline. These quantify the
+// per-operation speedups that the ablation and figure benches observe
+// end-to-end.
 //
 // With AMBER_BENCH_JSON_DIR set, results are additionally written to
 // $AMBER_BENCH_JSON_DIR/BENCH_micro_index.json (google-benchmark's JSON
@@ -17,6 +18,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/scale_free.h"
@@ -75,6 +77,36 @@ void BM_RTreeDominance(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RTreeDominance);
+
+// The constant-seeded side of CandInit (core/matcher.cc): an anchor's
+// constant list — a hub's SupersetNeighbors list, built once outside the
+// timed loop — filtered by the dominance test the R-tree applies, over the
+// same QueryFor synopses as BM_RTreeDominance.
+void BM_ConstantSeededDominance(benchmark::State& state) {
+  const Fixture& f = Fixture::Get();
+  const std::vector<EdgeTypeId> types = {1};
+  std::vector<std::vector<VertexId>> lists;
+  for (VertexId v = 0; v < f.graph.NumVertices(); ++v) {
+    if (f.graph.GroupCount(v, Direction::kIn) <= 50) continue;
+    std::vector<VertexId> list;
+    f.indexes.neighborhood.SupersetNeighbors(v, Direction::kIn, types, &list);
+    if (!list.empty()) lists.push_back(std::move(list));
+  }
+  if (lists.empty()) lists.push_back({0});
+  uint64_t i = 0;
+  std::vector<VertexId> out;
+  for (auto _ : state) {
+    const Synopsis q = QueryFor(f, i);
+    const std::vector<VertexId>& list = lists[i++ % lists.size()];
+    out.clear();
+    for (VertexId v : list) {
+      if (f.indexes.signature.Of(v).Dominates(q)) out.push_back(v);
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ConstantSeededDominance);
 
 void BM_FullSynopsisScan(benchmark::State& state) {
   const Fixture& f = Fixture::Get();

@@ -22,16 +22,6 @@ bool RunsParallel(const ExecOptions& options, const QueryPlan& plan) {
   return options.num_threads > 1 && !plan.components.empty();
 }
 
-// Selectivity-aware ordering only when FILTER pushdown is on, so the
-// post-filter ablation measures residual evaluation under the paper's
-// plan, not a different plan.
-QueryPlan PlanFor(const QueryGraph& qg, const ExecOptions& options,
-                  const IndexSet& indexes, const Multigraph& graph) {
-  return PlanQuery(qg, options.plan,
-                   options.use_value_index ? &indexes.value : nullptr,
-                   graph.NumVertices());
-}
-
 // Hands `sink` the matcher's groups in the serial order: through one
 // Matcher, or through the parallel stage's ordered replay, whose chunks
 // behind the head buffer up to `buffer_rows` represented rows (0 =
@@ -117,7 +107,8 @@ Result<CountResult> AmberEngine::Count(const SelectQuery& query,
   if (!qg.unsatisfiable()) {
     // Bag counts are cardinality arithmetic: the counting sinks take each
     // solution record's satellite product without expanding it.
-    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    const QueryPlan plan =
+        PlanForExecution(qg, options, indexes_, graph_.NumVertices());
     if (RunsParallel(options, plan)) {
       AMBER_ASSIGN_OR_RETURN(
           ParallelRunResult pr,
@@ -174,7 +165,8 @@ Result<FactorizedRows> AmberEngine::Factorize(const SelectQuery& query,
                                    qg.distinct(), cap)
                      .Finish();
   } else {
-    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    const QueryPlan plan =
+        PlanForExecution(qg, options, indexes_, graph_.NumVertices());
     FactorizedBuilder builder(num_slots,
                               BuildSlotList(qg.projection(), plan.is_core),
                               qg.distinct(), cap);
@@ -227,7 +219,8 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
     // The row sink expands each group as it arrives: rows leave one at a
     // time, so memory stays bounded by the chunk buffers whatever the
     // result's size.
-    const QueryPlan plan = PlanFor(qg, options, indexes_, graph_);
+    const QueryPlan plan =
+        PlanForExecution(qg, options, indexes_, graph_.NumVertices());
     StreamingSink ssink(qg.distinct(), cap, deliver);
     AMBER_RETURN_IF_ERROR(MatchInto(
         graph_, indexes_, qg, plan, options, cap,

@@ -72,8 +72,11 @@ struct ExecOptions {
   /// Planner options (Ablation A: vertex-ordering heuristics).
   PlanOptions plan;
 
-  /// When false, initial candidates are produced by a full synopsis scan
-  /// instead of the R-tree (Ablation B: value of the S index).
+  /// When false, CandInit makes no R-tree query: a component's initial
+  /// vertex without constants is seeded by a full synopsis scan instead
+  /// (Ablation B: value of the S index). Vertices with constants
+  /// (attributes, IRI anchors, pushed FILTERs) seed from their constant
+  /// lists in both modes, so the two differ only on roots without them.
   bool use_signature_index = true;
 
   /// When false, FILTER predicate constraints are never pushed into the

@@ -2,14 +2,18 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
+
+#include "core/matcher.h"
 
 namespace amber {
 
 namespace {
 
+// `pushed` is u's row of PushedConstraints, or null without indexes.
 void AppendVertexLine(const QueryGraph& q, uint32_t u,
-                      const RdfDictionaries& dicts, const QueryPlan& plan,
-                      const IndexSet* indexes, std::string* out) {
+                      const RdfDictionaries& dicts,
+                      const std::vector<uint8_t>* pushed, std::string* out) {
   const QueryVertex& v = q.vertices()[u];
   *out += "  ?" + v.name;
   *out += " (degree " + std::to_string(q.Degree(u));
@@ -23,9 +27,9 @@ void AppendVertexLine(const QueryGraph& q, uint32_t u,
     *out += "}";
   }
   if (!v.preds.empty()) {
-    // Mirrors Matcher::ShouldPushConstraint under the default ExecOptions:
-    // core vertices get selective constraints as ValueIndex range scans;
-    // satellites and wide ranges are evaluated residually per candidate.
+    // The matcher's own push classes (PushedConstraints): core vertices get
+    // selective constraints as ValueIndex range scans; satellites, wide
+    // ranges and the post-filter mode evaluate residually per candidate.
     *out += " preds={";
     for (size_t i = 0; i < v.preds.size(); ++i) {
       if (i) *out += ", ";
@@ -39,13 +43,8 @@ void AppendVertexLine(const QueryGraph& q, uint32_t u,
         *out += " ";
         *out += c.value.ToString();
       }
-      if (indexes != nullptr) {
-        const bool pushed =
-            plan.is_core[u] &&
-            RangeScanWorthPushing(
-                indexes->value.EstimateRange(pc.predicate, pc.comparisons),
-                dicts.vertices().size());
-        *out += pushed ? " [index-pushed]" : " [residual]";
+      if (pushed != nullptr) {
+        *out += (*pushed)[i] ? " [index-pushed]" : " [residual]";
       }
     }
     *out += "}";
@@ -93,9 +92,19 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
     return out;
   }
 
-  QueryPlan plan =
-      PlanQuery(q, options, indexes != nullptr ? &indexes->value : nullptr,
-                dicts.vertices().size());
+  // The plan, push classes and CandInit sources come from the helpers the
+  // engine and the matcher use, so EXPLAIN describes the plan that runs.
+  ExecOptions run = exec != nullptr ? *exec : ExecOptions{};
+  run.plan = options;
+  QueryPlan plan;
+  std::vector<std::vector<uint8_t>> pushed;
+  if (indexes != nullptr) {
+    const uint64_t num_vertices = indexes->signature.NumVertices();
+    plan = PlanForExecution(q, run, *indexes, num_vertices);
+    pushed = PushedConstraints(q, plan, run, indexes->value, num_vertices);
+  } else {
+    plan = PlanQuery(q, options);
+  }
   out += "Decomposition: " + std::to_string(plan.NumCoreVertices()) +
          " core, " + std::to_string(plan.NumSatelliteVertices()) +
          " satellite, " + std::to_string(plan.components.size()) +
@@ -164,6 +173,12 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
         const Synopsis syn = q.VertexSynopsis(u);
         out += "  |C^S| = " +
                std::to_string(indexes->signature.Candidates(syn).size());
+        out += ", seed: ";
+        if (HasConstantList(q.vertices()[u], pushed[u])) {
+          out += "constants";
+        } else {
+          out += run.use_signature_index ? "S index" : "synopsis scan";
+        }
       }
       out += "\n";
     }
@@ -171,7 +186,8 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
 
   out += "Vertex detail:\n";
   for (uint32_t u = 0; u < q.NumVertices(); ++u) {
-    AppendVertexLine(q, u, dicts, plan, indexes, &out);
+    AppendVertexLine(q, u, dicts, indexes != nullptr ? &pushed[u] : nullptr,
+                     &out);
   }
   return out;
 }

@@ -27,6 +27,36 @@ uint64_t VectorBytes(const std::vector<T>& v) {
 
 }  // namespace
 
+QueryPlan PlanForExecution(const QueryGraph& q, const ExecOptions& options,
+                           const IndexSet& indexes, uint64_t num_vertices) {
+  return PlanQuery(q, options.plan,
+                   options.use_value_index ? &indexes.value : nullptr,
+                   num_vertices);
+}
+
+std::vector<std::vector<uint8_t>> PushedConstraints(
+    const QueryGraph& q, const QueryPlan& plan, const ExecOptions& options,
+    const ValueIndex& values, uint64_t num_vertices) {
+  std::vector<std::vector<uint8_t>> pushed(q.NumVertices());
+  for (uint32_t u = 0; u < q.NumVertices(); ++u) {
+    const std::vector<PredicateConstraint>& preds = q.vertices()[u].preds;
+    pushed[u].resize(preds.size(), 0);
+    for (size_t i = 0; i < preds.size(); ++i) {
+      pushed[u][i] =
+          options.use_value_index && plan.is_core[u] &&
+          RangeScanWorthPushing(
+              values.EstimateRange(preds[i].predicate, preds[i].comparisons),
+              num_vertices);
+    }
+  }
+  return pushed;
+}
+
+bool HasConstantList(const QueryVertex& qv, std::span<const uint8_t> pushed) {
+  return !qv.attrs.empty() || !qv.iris.empty() ||
+         std::find(pushed.begin(), pushed.end(), 1) != pushed.end();
+}
+
 MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
                                const QueryGraph& q, const QueryPlan& plan,
                                const ExecOptions& options) {
@@ -42,19 +72,8 @@ MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
 
   local_state.assign(q.NumVertices(), LocalState::kUnknown);
   local_cache.resize(q.NumVertices());
-  preds_pushed.resize(q.NumVertices());
-  for (uint32_t u = 0; u < q.NumVertices(); ++u) {
-    const std::vector<PredicateConstraint>& preds = q.vertices()[u].preds;
-    preds_pushed[u].resize(preds.size(), 0);
-    for (size_t i = 0; i < preds.size(); ++i) {
-      preds_pushed[u][i] =
-          options.use_value_index && plan.is_core[u] &&
-          RangeScanWorthPushing(
-              indexes.value.EstimateRange(preds[i].predicate,
-                                          preds[i].comparisons),
-              g.NumVertices());
-    }
-  }
+  preds_pushed =
+      PushedConstraints(q, plan, options, indexes.value, g.NumVertices());
   comp_cand_cached.assign(plan.components.size(), false);
   comp_cand_cache.resize(plan.components.size());
 
@@ -209,17 +228,10 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
 
   const QueryVertex& qv = q_.vertices()[u];
   // FILTER constraints only enter the cached list when pushed; residual
-  // constraints are evaluated per candidate in RefineByVertex instead (a
+  // constraints are evaluated per candidate in FilterByVertex instead (a
   // satellite's paired candidates are usually far smaller than a range,
   // and a wide range costs more to materialize than to check).
-  bool push_preds = false;
-  for (size_t i = 0; i < qv.preds.size(); ++i) {
-    if (ConstraintPushed(u, i)) {
-      push_preds = true;
-      break;
-    }
-  }
-  if (qv.attrs.empty() && qv.iris.empty() && !push_preds) {
+  if (!HasConstantList(qv, s_->preds_pushed[u])) {
     s_->local_state[u] = MatcherScratch::LocalState::kNone;
     return nullptr;
   }
@@ -236,28 +248,26 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
     first = false;
     PollInterrupt();
   }
-  if (push_preds) {
-    for (size_t i = 0; i < qv.preds.size(); ++i) {  // C^P_u
-      if (!ConstraintPushed(u, i)) continue;  // residual, see below
-      if (pending_ != InterruptKind::kNone) break;
-      const PredicateConstraint& pc = qv.preds[i];
-      ValueIndex::ScanStats scan_stats;
-      if (first) {
-        indexes_.value.RangeScan(pc.predicate, pc.comparisons, &result,
-                                 &scan_stats);
-        first = false;
-      } else if (!result.empty()) {
-        indexes_.value.RangeScan(pc.predicate, pc.comparisons, &s_->range_tmp,
-                                 &scan_stats);
-        IntersectInPlace(&result, std::span<const VertexId>(s_->range_tmp),
-                         &s_->icounters);
-      }
-      s_->range_scans += scan_stats.scans;
-      s_->range_scan_elements += scan_stats.elements;
-      // Deadline/cancellation poll between range scans: one scan is the
-      // interrupt granularity of CandInit, not the whole pipeline.
-      PollInterrupt();
+  for (size_t i = 0; i < qv.preds.size(); ++i) {  // C^P_u
+    if (!ConstraintPushed(u, i)) continue;  // residual, see above
+    if (pending_ != InterruptKind::kNone) break;
+    const PredicateConstraint& pc = qv.preds[i];
+    ValueIndex::ScanStats scan_stats;
+    if (first) {
+      indexes_.value.RangeScan(pc.predicate, pc.comparisons, &result,
+                               &scan_stats);
+      first = false;
+    } else if (!result.empty()) {
+      indexes_.value.RangeScan(pc.predicate, pc.comparisons, &s_->range_tmp,
+                               &scan_stats);
+      IntersectInPlace(&result, std::span<const VertexId>(s_->range_tmp),
+                       &s_->icounters);
     }
+    s_->range_scans += scan_stats.scans;
+    s_->range_scan_elements += scan_stats.elements;
+    // Deadline/cancellation poll between range scans: one scan is the
+    // interrupt granularity of CandInit, not the whole pipeline.
+    PollInterrupt();
   }
   auto refine = [&](VertexId anchor, Direction d,
                     std::span<const EdgeTypeId> types) {
@@ -297,6 +307,10 @@ void Matcher::RefineByVertex(uint32_t u, std::vector<VertexId>* cand) {
   if (local != nullptr) {
     IntersectInPlace(cand, std::span<const VertexId>(*local), &s_->icounters);
   }
+  FilterByVertex(u, cand);
+}
+
+void Matcher::FilterByVertex(uint32_t u, std::vector<VertexId>* cand) {
   const QueryVertex& qv = q_.vertices()[u];
   if (!qv.self_types.empty()) {
     std::erase_if(*cand, [&](VertexId v) {
@@ -320,13 +334,27 @@ void Matcher::RefineByVertex(uint32_t u, std::vector<VertexId>* cand) {
 std::vector<VertexId> Matcher::InitialCandidates(uint32_t uinit) {
   const Synopsis syn = q_.VertexSynopsis(uinit);
   std::vector<VertexId> cand;
-  if (options_.use_signature_index) {
+  // The two scans below run beneath the Recurse tick check, so they poll
+  // the deadline/token themselves: a constant list can be as long as |V|
+  // (a common attribute, a hub anchor), the ablation-B scan is |V| long,
+  // and without the poll a large graph would overshoot the budget by a
+  // full pass before the first recursion step notices. A constant list
+  // cut short while it was built leaves pending_ set: its walk stops at
+  // once.
+  if (const std::vector<VertexId>* local = CachedLocalCandidates(uinit)) {
+    // The constant list is built anyway and is exact for its constraints,
+    // so C^S ∩ local is local filtered by the same dominance test the
+    // R-tree applies: the same set in the same ascending order, without
+    // walking the tree.
+    for (VertexId v : *local) {
+      PollInterrupt();
+      if (pending_ != InterruptKind::kNone) break;
+      if (indexes_.signature.Of(v).Dominates(syn)) cand.push_back(v);
+    }
+  } else if (options_.use_signature_index) {
     cand = indexes_.signature.Candidates(syn);  // QuerySynIndex via R-tree
   } else {
-    // Ablation B: same complete filter, evaluated by a full scan. The scan
-    // runs below the Recurse tick check, so it polls the deadline/token
-    // itself — without this a large graph overshoots the budget by a full
-    // O(V) pass before the first recursion step notices.
+    // Ablation B: same complete filter, evaluated by a full scan.
     cand.reserve(64);
     for (VertexId v = 0; v < g_.NumVertices(); ++v) {
       PollInterrupt();
@@ -334,7 +362,7 @@ std::vector<VertexId> Matcher::InitialCandidates(uint32_t uinit) {
       if (indexes_.signature.Of(v).Dominates(syn)) cand.push_back(v);
     }
   }
-  if (pending_ == InterruptKind::kNone) RefineByVertex(uinit, &cand);
+  if (pending_ == InterruptKind::kNone) FilterByVertex(uinit, &cand);
   return cand;
 }
 

@@ -48,6 +48,30 @@
 
 namespace amber {
 
+/// The plan the engine runs for `q` under `options`, and the one EXPLAIN
+/// describes. Range-width selectivity feeds the ordering only when FILTER
+/// pushdown is on, so the post-filter ablation measures residual
+/// evaluation under the paper's plan, not a different plan.
+/// `num_vertices` is the data graph's vertex count.
+QueryPlan PlanForExecution(const QueryGraph& q, const ExecOptions& options,
+                           const IndexSet& indexes, uint64_t num_vertices);
+
+/// Per query vertex and FILTER constraint: 1 when the constraint is served
+/// by a ValueIndex range scan inside the vertex's constant list, 0 when it
+/// is evaluated residually per candidate. Pushdown must be enabled, the
+/// vertex must be core, and the estimated range must pass the
+/// RangeScanWorthPushing cutover (wide ranges are cheaper to check per
+/// candidate).
+std::vector<std::vector<uint8_t>> PushedConstraints(
+    const QueryGraph& q, const QueryPlan& plan, const ExecOptions& options,
+    const ValueIndex& values, uint64_t num_vertices);
+
+/// True when `qv` has a constant list (Algorithm 1's C^A_u ∩ C^I_u, plus
+/// pushed FILTER scans): attributes, IRI anchors, or a constraint its
+/// `pushed` row of PushedConstraints marks. CandInit seeds such a vertex
+/// from that list; only a vertex without one asks the S index.
+bool HasConstantList(const QueryVertex& qv, std::span<const uint8_t> pushed);
+
 /// \brief All mutable per-query state of one matching run: the scratch
 /// arena, the caches and the hot-path counters.
 ///
@@ -105,8 +129,8 @@ struct MatcherScratch {
   std::vector<LocalState> local_state;
   std::vector<std::vector<VertexId>> local_cache;
 
-  // Per (vertex, FILTER constraint): pushed range scan (1) or residual
-  // evaluation (0). Precomputed once per scratch.
+  // PushedConstraints: per (vertex, FILTER constraint), pushed range scan
+  // (1) or residual evaluation (0). Precomputed once per scratch.
   std::vector<std::vector<uint8_t>> preds_pushed;
 
   // Per-component CandInit cache (components > 0 are re-entered once per
@@ -186,7 +210,8 @@ class Matcher : private RowPoll {
   enum class InterruptKind { kNone, kTimeout, kCancelled };
 
   /// Computes CandInit for the first component's initial vertex (Algorithm
-  /// 3, lines 4-5), already refined by ProcessVertex. Exposed so the
+  /// 3, lines 4-5), already refined by ProcessVertex (see
+  /// InitialCandidates for the source it seeds from). Exposed so the
   /// parallel mode can shard it. The overload without arguments binds the
   /// deadline/token from ExecOptions; a scan cut short by either leaves
   /// pending_interrupt() set and returns the partial list — callers must
@@ -227,7 +252,14 @@ class Matcher : private RowPoll {
  private:
   enum class Flow { kContinue, kStop, kTimeout, kCancelled };
 
-  /// CandInit for an arbitrary component's initial vertex.
+  /// CandInit for an arbitrary component's initial vertex, from the
+  /// cheapest exact source. A vertex with a constant list (HasConstantList)
+  /// seeds from it, keeping each v whose synopsis dominates the vertex's;
+  /// only a vertex without one asks the S index's R-tree (or, under
+  /// ablation B, the full synopsis scan). Both sources yield C^S ∩ the
+  /// constant list in ascending id order, so the set and order never
+  /// depend on which one served. Self-loops and residual FILTERs then
+  /// filter per candidate.
   std::vector<VertexId> InitialCandidates(uint32_t uinit);
 
   /// InitialCandidates(ci's initial vertex), cached per component: it does
@@ -259,20 +291,21 @@ class Matcher : private RowPoll {
 
   /// True when FILTER constraint `i` of vertex `u` is served by a
   /// ValueIndex range scan (inside CachedLocalCandidates) rather than
-  /// evaluated residually: pushdown must be enabled, the vertex must be
-  /// core, and the estimated range must pass the RangeScanWorthPushing
-  /// cutover (wide ranges are cheaper to check per candidate). The
-  /// decisions are precomputed in the scratch constructor so the
-  /// steady-state Recurse never re-estimates (or allocates) in
-  /// RefineByVertex.
+  /// evaluated residually (PushedConstraints). The decisions are
+  /// precomputed in the scratch constructor so the steady-state Recurse
+  /// never re-estimates (or allocates) in FilterByVertex.
   bool ConstraintPushed(uint32_t u, size_t i) const {
     return s_->preds_pushed[u][i] != 0;
   }
 
-  /// Intersects `cand` (in place) with CachedLocalCandidates(u), filters
-  /// self-loop constraints, and evaluates residual FILTER predicates
-  /// (satellite vertices; every vertex in post-filter mode).
+  /// Intersects `cand` (in place) with CachedLocalCandidates(u), then
+  /// applies FilterByVertex.
   void RefineByVertex(uint32_t u, std::vector<VertexId>* cand);
+
+  /// The per-candidate half of ProcessVertex: filters self-loop
+  /// constraints and evaluates residual FILTER predicates (satellite
+  /// vertices; every vertex in post-filter mode).
+  void FilterByVertex(uint32_t u, std::vector<VertexId>* cand);
 
   /// Candidates for `u` that respect the multi-edge of query edge `e`
   /// towards the already-matched data vertex `vn` (one index N walk).

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "core/amber_engine.h"
+#include "core/matcher.h"
 #include "rdf/term.h"
 #include "sparql/parser.h"
+#include "sparql/query_graph.h"
 #include "test_util.h"
 #include "util/cancellation.h"
 
@@ -168,6 +170,26 @@ std::vector<Triple> AnchoredSatelliteData(int anchors) {
   return data;
 }
 
+/// `n` subjects `urn:a<i> <urn:p0> <urn:hub>`, each with a `urn:p1` and a
+/// `urn:p2` edge to leaves of its own, after one `urn:x <urn:q> urn:y`
+/// edge: the hub's in-list, n long, is the constant list of an anchored
+/// `?a`.
+std::vector<Triple> HubAnchoredData(int n) {
+  std::vector<Triple> data;
+  data.emplace_back(Term::Iri("urn:x"), Term::Iri("urn:q"),
+                    Term::Iri("urn:y"));
+  for (int i = 0; i < n; ++i) {
+    const std::string id = std::to_string(i);
+    data.emplace_back(Term::Iri("urn:a" + id), Term::Iri("urn:p0"),
+                      Term::Iri("urn:hub"));
+    data.emplace_back(Term::Iri("urn:a" + id), Term::Iri("urn:p1"),
+                      Term::Iri("urn:b" + id));
+    data.emplace_back(Term::Iri("urn:a" + id), Term::Iri("urn:p2"),
+                      Term::Iri("urn:c" + id));
+  }
+  return data;
+}
+
 AmberEngine MustBuild(const std::vector<Triple>& data) {
   auto engine = AmberEngine::Build(data);
   EXPECT_TRUE(engine.ok()) << engine.status();
@@ -240,6 +262,75 @@ TEST(CancellationMatcherTest, PreCancelledAblationScanWithNoCandidateYet) {
     auto rows = engine.Materialize(*parsed, options);
     ASSERT_TRUE(rows.ok()) << rows.status();
     EXPECT_TRUE(rows->stats.cancelled);
+  }
+}
+
+TEST(CancellationMatcherTest, ConstantSeededScanHonoursTheToken) {
+  // CandInit of an anchored vertex walks its constant list, here 5,000
+  // long, beneath any recursion check: the walk itself must poll. The hub
+  // star runs as the root, and as a later component behind `?x <urn:q> ?y`.
+  constexpr int kSubjects = 5000;
+  AmberEngine engine = MustBuild(HubAnchoredData(kSubjects));
+  const std::string hub_star =
+      "?a <urn:p0> <urn:hub> . ?a <urn:p1> ?b . ?a <urn:p2> ?c . ";
+  auto root = SparqlParser::Parse("SELECT ?a ?b ?c WHERE { " + hub_star + "}");
+  ASSERT_TRUE(root.ok()) << root.status();
+  auto later = SparqlParser::Parse("SELECT ?x ?a ?b WHERE { ?x <urn:q> ?y . " +
+                                   hub_star + "}");
+  ASSERT_TRUE(later.ok()) << later.status();
+  {
+    auto qg = QueryGraph::Build(*later, engine.dictionaries());
+    ASSERT_TRUE(qg.ok()) << qg.status();
+    const QueryPlan plan = PlanForExecution(*qg, ExecOptions{},
+                                            engine.indexes(),
+                                            engine.graph().NumVertices());
+    ASSERT_EQ(plan.components.size(), 2u);
+    ASSERT_EQ(qg->vertices()[plan.components[1].core_order[0]].name, "a");
+  }
+
+  CancellationSource source;
+  source.Cancel();
+  for (int threads : {1, 4}) {
+    for (const SelectQuery* query : {&*root, &*later}) {
+      const bool is_root = query == &*root;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (is_root ? " root" : " later component"));
+      ExecOptions options;
+      options.num_threads = threads;
+      options.cancel = source.token();
+      auto count = engine.Count(*query, options);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_TRUE(count->stats.cancelled);
+      EXPECT_FALSE(count->stats.timed_out);
+      EXPECT_LT(count->count, static_cast<uint64_t>(kSubjects));
+      auto rows = engine.Materialize(*query, options);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      EXPECT_TRUE(rows->stats.cancelled);
+      EXPECT_FALSE(rows->stats.timed_out);
+      EXPECT_LT(rows->rows.size(), static_cast<size_t>(kSubjects));
+      if (is_root) {
+        // The walk broke within one tick window.
+        EXPECT_LE(count->stats.initial_candidates, kTickWindow);
+        EXPECT_LE(rows->stats.initial_candidates, kTickWindow);
+      }
+    }
+  }
+
+  // Nothing of the interrupted walks lingers: fresh runs answer in full.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecOptions options;
+    options.num_threads = threads;
+    for (const SelectQuery* query : {&*root, &*later}) {
+      auto count = engine.Count(*query, options);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_FALSE(count->stats.cancelled);
+      EXPECT_EQ(count->count, static_cast<uint64_t>(kSubjects));
+      auto rows = engine.Materialize(*query, options);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      EXPECT_FALSE(rows->stats.cancelled);
+      EXPECT_EQ(rows->rows.size(), static_cast<size_t>(kSubjects));
+    }
   }
 }
 

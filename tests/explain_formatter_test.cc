@@ -112,6 +112,82 @@ TEST(ExplainTest, FilterConstraintsShowPushdownClass) {
       << *sat_text;
 }
 
+TEST(ExplainTest, PostFilterAblationExplainsTheRunPlan) {
+  // With pushdown off, the engine plans without range-width selectivity
+  // and evaluates every FILTER residually: EXPLAIN must describe that
+  // plan, not the pushdown one (which starts at the filtered ?y).
+  auto data = testutil::RandomDataset(21, 10, 50, 3, 4, 30);
+  auto engine = AmberEngine::Build(data);
+  ASSERT_TRUE(engine.ok());
+  auto q = SparqlParser::Parse(
+      "SELECT ?x ?y WHERE { ?x <urn:p0> ?y . ?y <urn:p1> ?z . "
+      "?z <urn:p2> ?x . ?y <urn:num0> ?a . FILTER(?a > 10 && ?a <= 12) }");
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  ExecOptions pushdown;
+  auto pushed_text = ExplainQuery(*q, engine->dictionaries(),
+                                  &engine->indexes(), {}, &pushdown);
+  ASSERT_TRUE(pushed_text.ok()) << pushed_text.status();
+  EXPECT_NE(pushed_text->find("[init] ?y"), std::string::npos)
+      << *pushed_text;
+  EXPECT_NE(pushed_text->find("[index-pushed]"), std::string::npos)
+      << *pushed_text;
+
+  ExecOptions post_filter;
+  post_filter.use_value_index = false;
+  auto text = ExplainQuery(*q, engine->dictionaries(), &engine->indexes(),
+                           {}, &post_filter);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("[init] ?x"), std::string::npos) << *text;
+  EXPECT_NE(text->find("preds={<urn:num0> > 10 <= 12 [residual]}"),
+            std::string::npos)
+      << *text;
+  EXPECT_EQ(text->find("[index-pushed]"), std::string::npos) << *text;
+  // Without constants the post-filter root asks the S index.
+  EXPECT_NE(text->find("seed: S index"), std::string::npos) << *text;
+}
+
+TEST(ExplainTest, InitLineNamesTheCandInitSource) {
+  auto triples = testutil::MustParse(kPaperExampleNTriples);
+  auto engine = AmberEngine::Build(triples);
+  ASSERT_TRUE(engine.ok());
+
+  // The paper query's initial vertex has no constants: the S index seeds.
+  auto paper = SparqlParser::Parse(kPaperExampleQuery);
+  ASSERT_TRUE(paper.ok());
+  auto paper_text =
+      ExplainQuery(*paper, engine->dictionaries(), &engine->indexes());
+  ASSERT_TRUE(paper_text.ok()) << paper_text.status();
+  EXPECT_NE(paper_text->find("[init] ?X1"), std::string::npos) << *paper_text;
+  EXPECT_NE(paper_text->find("|C^S| = 1, seed: S index"), std::string::npos)
+      << *paper_text;
+
+  // Ablation B answers the same vertex by the full synopsis scan.
+  ExecOptions no_s;
+  no_s.use_signature_index = false;
+  auto scan_text = ExplainQuery(*paper, engine->dictionaries(),
+                                &engine->indexes(), {}, &no_s);
+  ASSERT_TRUE(scan_text.ok()) << scan_text.status();
+  EXPECT_NE(scan_text->find("|C^S| = 1, seed: synopsis scan"),
+            std::string::npos)
+      << *scan_text;
+
+  // An anchored root seeds from its constant list, in both modes.
+  auto anchored = SparqlParser::Parse(
+      "PREFIX x: <http://dbpedia.org/resource/> "
+      "PREFIX y: <http://dbpedia.org/ontology/> "
+      "SELECT ?a WHERE { ?a y:livedIn x:United_States . "
+      "?a y:wasMarriedTo ?b . ?a y:wasPartOf ?c . }");
+  ASSERT_TRUE(anchored.ok()) << anchored.status();
+  for (const ExecOptions& exec : {ExecOptions{}, no_s}) {
+    auto text = ExplainQuery(*anchored, engine->dictionaries(),
+                             &engine->indexes(), {}, &exec);
+    ASSERT_TRUE(text.ok()) << text.status();
+    EXPECT_NE(text->find("[init] ?a"), std::string::npos) << *text;
+    EXPECT_NE(text->find("seed: constants"), std::string::npos) << *text;
+  }
+}
+
 TEST(ExplainTest, GroundPredicateChecksCounted) {
   auto data = testutil::RandomDataset(21, 10, 50, 3, 4, 30);
   auto engine = AmberEngine::Build(data);
